@@ -15,7 +15,7 @@ use crate::server::{AuthServer, ExpectedIdentity};
 use crate::whitelist::Whitelist;
 use elide_crypto::rng::{RandomSource, SeededRandom};
 use elide_crypto::rsa::RsaKeyPair;
-use elide_enclave::loader::{measure_enclave, sign_enclave, ImagePlan};
+use elide_enclave::loader::{sign_enclave, ImagePlan};
 use elide_enclave::runtime::EnclaveRuntime;
 use sgx_sim::quote::{AttestationService, QuotingEnclave};
 use sgx_sim::sigstruct::SigStruct;
@@ -109,7 +109,8 @@ pub fn protect(
         }
     };
     let sigstruct = sign_enclave(&out.image, vendor, 1, 1)?;
-    let mrenclave = measure_enclave(&out.image)?;
+    // The SIGSTRUCT carries the sanitized image's measurement.
+    let mrenclave = sigstruct.measurement;
     Ok(ProtectedPackage {
         image: out.image,
         sigstruct,

@@ -7,17 +7,21 @@
 //! The restore flow implements Figure 2 of the paper:
 //!
 //! 1. Try the sealed blob (step ❼ of a previous run) — restore without any
-//!    server contact if it unseals.
+//!    server contact if it unseals. The blob's `[text_len][restore_off]`
+//!    header is sealed with the text, so the host cannot move it.
 //! 2. Otherwise run the attested handshake: DH keygen, `EREPORT` binding
 //!    SHA-256 of the DH public value, ocall to the server (the host turns
 //!    the report into a quote), derive the session key.
 //! 3. `REQUEST_META` (step ❷/❸): fetch and decrypt the metadata.
 //! 4. Local data: `elide_read_file` + AES-GCM with the key from the meta
 //!    (steps ➃/➄). Remote data: `REQUEST_DATA` over the channel (❹/❺).
-//! 5. Copy the original bytes over the sanitized text (step ❻), computing
+//! 5. Decrypt the original bytes over the sanitized text (step ❻), computing
 //!    the text base *position-independently* from `elide_restore`'s own
 //!    address minus the offset carried in the metadata (§5).
 //! 6. Seal the restored text and hand it to the host (step ❼).
+//!
+//! The restorer owns no buffer: every untrusted input is copied into the
+//! bottom of the enclave stack before use (see [`RESTORE_CAP`]).
 
 /// Ocall index for `elide_server_request` (r1 = request type, r2/r3 = in
 /// ptr/len, r4/r5 = out ptr/cap; returns response length or negative).
@@ -74,8 +78,31 @@ pub const UELIDE_REQ: u64 = 0x7004_0000;
 /// Untrusted scratch area for server responses.
 pub const UELIDE_RESP: u64 = 0x7006_0000;
 
-/// The `elide_restore` implementation and its state buffers.
-pub const ELIDE_ASM: &str = r#"
+/// Bytes at the top of the enclave stack kept for `elide_restore`'s own
+/// frames. The restorer always enters on an empty stack (`__enclave_entry`
+/// resets `sp` to `__stack_top`, and ecall inputs are marshalled to
+/// untrusted memory, not onto the stack); its deepest call chain — the
+/// entry's return address, four saved words in the ranged scatter loop and
+/// one `elide_memcpy` return address — is 48 bytes, so one page leaves
+/// ample headroom. The sealed fast path also puts its 16-byte seal key
+/// right after the blob, at most 16 bytes into the reserve.
+pub const RESTORE_RESERVE: u64 = 4096;
+
+/// Capacity of the restorer's only buffer, borrowed from the bottom of the
+/// enclave stack: `[__stack_bottom, __stack_bottom + RESTORE_CAP)`. Every
+/// untrusted input is copied in here before use, ranged data is decrypted
+/// here, and the seal is built here. The guest's length guards and
+/// [`crate::sanitizer::MAX_TEXT_LEN`] both derive from it.
+pub const RESTORE_CAP: u64 = elide_enclave::trts::STACK_SIZE - RESTORE_RESERVE;
+
+/// Bytes a sealed blob adds to the text it seals: a 12-byte IV, the sealed
+/// 16-byte `[text_len][restore_off]` header and the 16-byte GCM tag.
+pub const SEAL_OVERHEAD: u64 = 12 + 16 + 16;
+
+/// The `elide_restore` implementation and its state slots, with a
+/// `0x________` hole at each length guard that [`splice_cap`] fills with
+/// [`RESTORE_CAP`] at compile time.
+const ELIDE_ASM_SRC: &str = r#"
 ; ---------------------------------------------------------------
 ; SgxElide runtime restorer (whitelisted code).
 ; ---------------------------------------------------------------
@@ -83,75 +110,76 @@ pub const ELIDE_ASM: &str = r#"
 
 .global elide_restore
 .func elide_restore
-    ldpc r9
-    addi r9, r9, -8          ; r9 = &elide_restore (PIC anchor)
-    push r9
+    ldpc r14
+    addi r14, r14, -8        ; r14 = &elide_restore (PIC anchor)
     ; Optional ecall input: a 32-byte target MRENCLAVE selects delegated
     ; provisioning (the handshake report is retargeted from the quoting
     ; enclave to a local delegate). Empty input keeps the classic path.
-    push r2                  ; [sp+8] = ecall input ptr
-    push r3                  ; [sp]   = ecall input len
+    mov  r10, r2             ; ecall input ptr
+    mov  r11, r3             ; ecall input len
 
     ; ---------- fast path: sealed blob from a previous run ----------
+    ; Registers and intrinsics only: under a tight EPC budget every stack
+    ; touch pages the frame page back in.
     movi r1, 1               ; file id 1 = sealed blob
     li   r4, 0x70040000
     li   r5, 0x80000
     ocall 101                ; elide_read_file
-    movi r6, 0
-    blts r0, r6, .no_seal
-    ; blob layout: [text_len u64][restore_off u64][iv 12][ct][tag 16].
-    ; The blob comes from UNTRUSTED storage: validate before trusting its
-    ; length fields (a malicious host may hand us garbage).
+    ; blob layout: [iv 12][ct][tag 16], sealing [text_len][restore_off][text].
+    ; The blob comes from UNTRUSTED storage: copy it in, and trust none of
+    ; its fields before the tag verifies them.
     movi r6, 44
-    bltu r0, r6, .no_seal    ; too short to hold the header
-    mov  r9, r0              ; blob length (r9 survives memcpy)
-    mov  r3, r0
-    la   r1, __elide_buf
+    bltu r0, r6, .no_seal    ; too short for IV + header + tag
+    li   r6, 0x________      ; RESTORE_CAP
+    bltu r6, r0, .no_seal    ; larger than the restore buffer (or -1: none)
+    mov  r9, r0              ; blob length
+    la   r8, __stack_bottom
+    mov  r1, r8
     li   r2, 0x70040000
-    call elide_memcpy
-    la   r8, __elide_buf
-    ld64 r10, [r8]           ; text_len (untrusted until checked)
-    ld64 r11, [r8+8]         ; restore_off
-    li   r6, 0x10000
-    bgeu r10, r6, .no_seal   ; larger than the restore buffers allow
-    bgeu r11, r6, .no_seal   ; offset must be inside the text section
-    addi r6, r10, 44
-    bne  r6, r9, .no_seal    ; length field inconsistent with the blob
+    mov  r3, r9
+    intrin 9                 ; MEMCPY: copy the blob in
+    add  r13, r8, r9         ; seal key right after the blob, in its page
     movi r1, 0               ; seal key policy = MRENCLAVE
-    la   r2, __elide_seal_key
+    mov  r2, r13
     intrin 4                 ; EGETKEY
-    ld64 r12, [sp+16]        ; &elide_restore
-    sub  r12, r12, r11       ; text base
-    la   r1, __elide_seal_key
-    addi r2, r8, 16          ; iv
-    addi r3, r8, 28          ; ct
-    mov  r4, r10
-    mov  r5, r12             ; decrypt straight over the text section
+    mov  r1, r13
+    mov  r2, r8              ; iv
+    addi r3, r8, 12          ; ct
+    addi r4, r9, -28         ; header + text
+    addi r5, r8, 12          ; decrypt in place
     intrin 1                 ; AESGCM_DECRYPT
     movi r6, 0
     bne  r0, r6, .no_seal    ; rebuilt enclave or tampered blob: full path
+    ld64 r12, [r8+12]        ; text_len (authenticated)
+    ld64 r13, [r8+20]        ; restore_off (authenticated)
+    addi r6, r12, 44
+    bne  r6, r9, .no_seal    ; length field inconsistent with the blob
+    bgeu r13, r12, .no_seal  ; offset must be inside the text section
+    sub  r1, r14, r13        ; text base
+    addi r2, r8, 28
+    mov  r3, r12
+    intrin 9                 ; MEMCPY: the genuine text over the sanitized one
     movi r0, 0
-    jmp  .done
+    ret
 
 .no_seal:
     ; ---------- attested handshake ----------
     la   r1, __elide_dh_pub
     intrin 6                 ; DH_KEYGEN -> r0 = pub len
-    mov  r10, r0
+    mov  r9, r0              ; (r9 survives memcpy)
     la   r1, __elide_report_data
     movi r2, 0
     movi r3, 64
     call elide_memset
     la   r1, __elide_dh_pub
-    mov  r2, r10
+    mov  r2, r9
     la   r3, __elide_report_data
     intrin 3                 ; SHA256(dh_pub) -> report_data
     la   r1, __elide_report_data
     la   r2, __elide_report
-    ld64 r6, [sp]            ; ecall input length
     movi r7, 32
-    bne  r6, r7, .qe_report
-    ld64 r3, [sp+8]          ; 32-byte delegate MRENCLAVE from the input
+    bne  r11, r7, .qe_report
+    mov  r3, r10             ; 32-byte delegate MRENCLAVE from the input
     intrin 13                ; EREPORT_TARGETED (attest to the delegate)
     jmp  .report_done
 .qe_report:
@@ -165,22 +193,23 @@ pub const ELIDE_ASM: &str = r#"
     li   r1, 0x70040000
     addi r1, r1, 160
     la   r2, __elide_dh_pub
-    mov  r3, r10
+    mov  r3, r9
     call elide_memcpy
     movi r1, 3               ; REQUEST_HANDSHAKE
     li   r2, 0x70040000
-    addi r3, r10, 160        ; 160-byte report + DH public value
+    addi r3, r9, 160         ; 160-byte report + DH public value
     li   r4, 0x70060000
     li   r5, 0x20000
     ocall 100
     movi r6, 0
     blts r0, r6, .fail_handshake
     mov  r12, r0             ; server pub length (r12 survives memcpy)
-    la   r1, __elide_peer
     li   r2, 0x70060000
-    mov  r3, r12
-    call elide_memcpy
-    la   r1, __elide_peer
+    mov  r3, r0
+    call elide_copy_in
+    movi r6, 0
+    beq  r0, r6, .fail_badkey
+    mov  r1, r0
     mov  r2, r12
     la   r3, __elide_session_key
     intrin 7                 ; DH_DERIVE
@@ -194,22 +223,15 @@ pub const ELIDE_ASM: &str = r#"
     li   r4, 0x70060000
     li   r5, 0x20000
     ocall 100
-    movi r6, 0
-    blts r0, r6, .fail_meta
-    movi r6, 29
-    bltu r0, r6, .fail_meta  ; shorter than IV + tag + 1 byte
-    li   r6, 0x10040
-    bgeu r0, r6, .fail_meta  ; larger than the restore buffers
-    mov  r12, r0             ; response length (r12 survives memcpy)
-    la   r1, __elide_buf
+    movi r6, 108
+    bne  r0, r6, .fail_meta  ; IV + 80-byte body + tag, exactly
     li   r2, 0x70060000
-    mov  r3, r12
-    call elide_memcpy
+    mov  r3, r0
+    call elide_copy_in
+    mov  r2, r0              ; iv
+    addi r3, r0, 12
+    movi r4, 80
     la   r1, __elide_session_key
-    la   r2, __elide_buf
-    la   r3, __elide_buf
-    addi r3, r3, 12
-    addi r4, r12, -28
     la   r5, __elide_meta
     intrin 1
     movi r6, 0
@@ -219,12 +241,19 @@ pub const ELIDE_ASM: &str = r#"
     ld64 r11, [r8+8]         ; data_len
     ld64 r12, [r8+16]        ; text_len
     ld64 r13, [r8+24]        ; restore_offset
+    sub  r14, r14, r13       ; text base = &elide_restore - restore_offset
 
-    li   r6, 0x10000
-    bgeu r11, r6, .fail_data ; data_len beyond the restore buffers
-    bgeu r12, r6, .fail_data ; text_len beyond the restore buffers
-    andi r6, r10, 1
+    li   r6, 0x________      ; RESTORE_CAP
+    bltu r6, r11, .fail_data ; data_len beyond the restore buffer
+    addi r6, r6, -44
+    bltu r6, r12, .fail_data ; the text's seal must fit the buffer too
+    bgeu r13, r12, .fail_data ; restore_offset outside the text
+    andi r6, r10, 2
     movi r7, 0
+    bne  r6, r7, .sized
+    bne  r11, r12, .fail_data ; whitelist data is exactly the text it overwrites
+.sized:
+    andi r6, r10, 1
     beq  r6, r7, .remote
 
     ; ---------- local data: read file, decrypt with meta key ----------
@@ -232,29 +261,23 @@ pub const ELIDE_ASM: &str = r#"
     li   r4, 0x70040000
     li   r5, 0x80000
     ocall 101
-    movi r6, 0
-    blts r0, r6, .fail_data
-    la   r1, __elide_buf
+    bne  r0, r11, .fail_data ; the file must hold exactly data_len bytes
     li   r2, 0x70040000
-    mov  r3, r11
-    call elide_memcpy
-    la   r1, __elide_buf
-    add  r1, r1, r11
+    addi r3, r11, 16         ; plus room for the tag, which lives in the meta
+    call elide_copy_in
+    movi r6, 0
+    beq  r0, r6, .fail_data
+    mov  r8, r0
+    add  r1, r8, r11
     la   r2, __elide_meta
-    addi r2, r2, 64          ; tag lives in the metadata
+    addi r2, r2, 64          ; tag
     movi r3, 16
     call elide_memcpy
     la   r1, __elide_meta
     addi r1, r1, 32          ; key
-    la   r2, __elide_meta
-    addi r2, r2, 48          ; iv
-    la   r3, __elide_buf
-    mov  r4, r11
-    la   r5, __elide_data
-    intrin 1
-    movi r6, 0
-    bne  r0, r6, .fail_auth
-    jmp  .restore
+    addi r2, r1, 16          ; iv
+    mov  r3, r8
+    jmp  .decrypt
 
 .remote:
     ; ---------- remote data over the channel (steps 4/5) ----------
@@ -264,48 +287,38 @@ pub const ELIDE_ASM: &str = r#"
     li   r4, 0x70060000
     li   r5, 0x80000
     ocall 100
-    movi r6, 0
-    blts r0, r6, .fail_data
-    movi r6, 29
-    bltu r0, r6, .fail_data
-    li   r6, 0x10040
-    bgeu r0, r6, .fail_data
-    mov  r9, r0              ; response length (r9 survives memcpy)
-    la   r1, __elide_buf
+    addi r6, r11, 28
+    bltu r0, r6, .fail_data  ; shorter than IV + data_len bytes + tag
     li   r2, 0x70060000
-    mov  r3, r9
-    call elide_memcpy
-    la   r1, __elide_session_key
-    la   r2, __elide_buf
-    la   r3, __elide_buf
-    addi r3, r3, 12
-    addi r4, r9, -28
-    la   r5, __elide_data
-    intrin 1
+    mov  r3, r0
+    call elide_copy_in
     movi r6, 0
-    bne  r0, r6, .fail_auth
+    beq  r0, r6, .fail_data  ; larger than the restore buffer (or -1)
+    mov  r8, r0
+    la   r1, __elide_session_key
+    mov  r2, r8              ; iv
+    addi r3, r8, 12
 
-.restore:
-    ; ---------- step 6: copy original bytes over sanitized text ----------
-    ld64 r14, [sp+16]        ; &elide_restore
-    sub  r14, r14, r13       ; text base = &elide_restore - restore_offset
+.decrypt:
+    ; ---------- step 6: decrypt the original bytes into place ----------
+    ; The tag is verified before a byte is written, so a failure leaves
+    ; the sanitized text untouched.
+    mov  r4, r11
+    mov  r5, r14             ; whitelist: straight over the text section
     andi r6, r10, 2
     movi r7, 0
-    bne  r6, r7, .ranged
-    mov  r1, r14
-    la   r2, __elide_data
-    mov  r3, r12
-    call elide_memcpy
-    jmp  .seal
+    beq  r6, r7, .open
+    mov  r5, r8              ; ranged: in place, scattered below
+.open:
+    intrin 1                 ; AESGCM_DECRYPT
+    bne  r0, r7, .fail_auth
+    beq  r6, r7, .seal
 
-.ranged:
     ; blacklist mode: data = [count u64][(off u64, len u64)*][bytes...]
-    la   r8, __elide_data
     ld64 r9, [r8]            ; count
     addi r5, r8, 8           ; entry cursor
     shli r6, r9, 4
     add  r6, r5, r6          ; bytes cursor
-    movi r7, 0
 .rloop:
     beq  r9, r7, .seal
     ld64 r1, [r5]            ; offset
@@ -328,24 +341,29 @@ pub const ELIDE_ASM: &str = r#"
 
 .seal:
     ; ---------- step 7: seal for server-free future launches ----------
+    ; plaintext [text_len][restore_offset][text] at buf+12, sealed in place
+    la   r8, __stack_bottom
+    st64 r12, [r8+12]
+    st64 r13, [r8+20]
+    addi r1, r8, 28
+    mov  r2, r14             ; the restored text
+    mov  r3, r12
+    call elide_memcpy
+    mov  r1, r8
+    movi r2, 12
+    intrin 8                 ; RAND iv
     movi r1, 0
     la   r2, __elide_seal_key
     intrin 4                 ; EGETKEY
-    la   r8, __elide_buf
-    st64 r12, [r8]           ; text_len
-    st64 r13, [r8+8]         ; restore_offset
-    addi r1, r8, 16
-    movi r2, 12
-    intrin 8                 ; RAND iv
     la   r1, __elide_seal_key
-    addi r2, r8, 16
-    mov  r3, r14             ; src = restored text
-    mov  r4, r12
-    addi r5, r8, 28
+    mov  r2, r8
+    addi r3, r8, 12
+    addi r4, r12, 16
+    addi r5, r8, 12
     intrin 2                 ; AESGCM_ENCRYPT (ct || tag)
     li   r1, 0x70040000
     mov  r2, r8
-    addi r3, r12, 44         ; 8 + 8 + 12 + text_len + 16
+    addi r3, r12, 44         ; iv 12 + header 16 + text_len + tag 16
     call elide_memcpy
     movi r1, 1
     li   r2, 0x70040000
@@ -369,9 +387,19 @@ pub const ELIDE_ASM: &str = r#"
 .fail_auth:
     movi r0, 5
 .done:
-    pop  r6                  ; ecall input len
-    pop  r6                  ; ecall input ptr
-    pop  r6                  ; PIC anchor
+    ret
+.endfunc
+
+; elide_copy_in(src=r2, len=r3) -> r0 = the restore buffer holding a copy
+; of [src, src+len), or 0 when len exceeds it. The buffer is the bottom of
+; the enclave stack; elide_restore's frames stay in the reserve above it.
+.func elide_copy_in
+    li   r6, 0x________      ; RESTORE_CAP
+    bltu r6, r3, .too_big
+    la   r1, __stack_bottom
+    jmp  elide_memcpy        ; returns r0 = dst
+.too_big:
+    movi r0, 0
     ret
 .endfunc
 
@@ -402,19 +430,47 @@ __elide_seal_key:
     .zero 16
 __elide_dh_pub:
     .zero 128
-__elide_peer:
-    .zero 128
 __elide_report_data:
     .zero 64
 __elide_report:
     .zero 192
 __elide_meta:
     .zero 96
-__elide_data:
-    .zero 65536
-__elide_buf:
-    .zero 65600
 "#;
+
+/// Copies `src` with every `0x________` hole replaced by `cap` as eight hex
+/// digits. Holes keep the source length, so the output is the same size.
+const fn splice_cap<const N: usize>(src: &str, cap: u64) -> [u8; N] {
+    assert!(cap < 1 << 31, "a one-instruction `li` immediate");
+    let src = src.as_bytes();
+    let mut out = [0u8; N];
+    let mut i = 0;
+    while i < N {
+        out[i] = src[i];
+        i += 1;
+    }
+    let mut i = 0;
+    while i + 10 <= N {
+        if out[i] == b'0' && out[i + 1] == b'x' && out[i + 2] == b'_' {
+            let mut d = 0;
+            while d < 8 {
+                out[i + 2 + d] = b"0123456789abcdef"[((cap >> (28 - 4 * d)) & 0xF) as usize];
+                d += 1;
+            }
+        }
+        i += 1;
+    }
+    out
+}
+
+const ELIDE_ASM_BYTES: [u8; ELIDE_ASM_SRC.len()] = splice_cap(ELIDE_ASM_SRC, RESTORE_CAP);
+
+/// The `elide_restore` implementation and its state slots, with
+/// [`RESTORE_CAP`] in its length guards.
+pub const ELIDE_ASM: &str = match std::str::from_utf8(&ELIDE_ASM_BYTES) {
+    Ok(s) => s,
+    Err(_) => panic!("the restorer source is ASCII"),
+};
 
 #[cfg(test)]
 mod tests {
@@ -427,17 +483,22 @@ mod tests {
         let restore = obj.symbol("elide_restore").unwrap();
         assert!(restore.global);
         assert!(restore.size > 0);
-        assert!(obj.symbol("__elide_buf").is_some());
         let verify = obj.symbol("elide_verify_report").unwrap();
         assert!(verify.global);
         assert!(verify.size > 0);
     }
 
     #[test]
-    fn buffers_fit_the_protocol() {
+    fn bss_holds_only_the_state_slots() {
+        // Keys, DH value, report and meta; the buffer is the stack's.
         let obj = assemble(ELIDE_ASM).unwrap();
-        let bss = obj.section("bss").unwrap();
-        // Data + buf must be able to hold a 64 KiB text section.
-        assert!(bss.size >= 2 * 64 * 1024);
+        assert!(obj.section("bss").unwrap().size < 1024);
+    }
+
+    #[test]
+    fn every_length_guard_carries_the_restore_cap() {
+        assert!(!ELIDE_ASM.contains("0x_"), "an unfilled capacity hole");
+        let cap = format!("li   r6, {RESTORE_CAP:#010x}");
+        assert_eq!(ELIDE_ASM.matches(&cap).count(), 3, "sealed blob, meta check, copy-in");
     }
 }

@@ -7,6 +7,7 @@
 //! self-modification, and records the offset of `elide_restore` from the
 //! text start so restoration can be position-independent.
 
+use crate::elide_asm::{RESTORE_CAP, SEAL_OVERHEAD};
 use crate::error::ElideError;
 use crate::meta::{SecretMeta, FLAG_ENCRYPTED_LOCAL, FLAG_RANGED};
 use crate::whitelist::Whitelist;
@@ -52,8 +53,10 @@ impl std::fmt::Debug for SanitizedEnclave {
     }
 }
 
-/// Maximum text-section size the in-enclave restore buffers can hold.
-pub const MAX_TEXT_LEN: u64 = 64 * 1024;
+/// Maximum text-section size the restorer can seal: the sealed blob of the
+/// text must fit its buffer at the bottom of the enclave stack. Rounded
+/// down to whole 8-byte instructions.
+pub const MAX_TEXT_LEN: u64 = (RESTORE_CAP - SEAL_OVERHEAD) & !7;
 
 fn prepare(image: &[u8]) -> Result<(ElfFile, u64, u64, u64), ElideError> {
     let elf = ElfFile::parse(image.to_vec())?;
@@ -62,7 +65,7 @@ fn prepare(image: &[u8]) -> Result<(ElfFile, u64, u64, u64), ElideError> {
         .ok_or_else(|| ElideError::BadImage("no .text section".into()))?;
     if text.sh_size > MAX_TEXT_LEN {
         return Err(ElideError::BadImage(format!(
-            "text section of {} bytes exceeds the {MAX_TEXT_LEN}-byte restore buffer",
+            "text section of {} bytes exceeds the {MAX_TEXT_LEN}-byte restore limit",
             text.sh_size
         )));
     }
@@ -213,6 +216,14 @@ pub fn sanitize_blacklist(
         payload.extend_from_slice(&len.to_le_bytes());
     }
     payload.extend_from_slice(&bytes);
+    // The guest decrypts the payload in its restore buffer, between the
+    // channel's 12-byte IV and 16-byte tag.
+    if payload.len() as u64 > RESTORE_CAP - 28 {
+        return Err(ElideError::BadImage(format!(
+            "ranged payload of {} bytes exceeds the restore buffer",
+            payload.len()
+        )));
+    }
 
     or_segment_flags(&mut elf, text_addr, PF_W)?;
 

@@ -167,6 +167,20 @@ fn map_sgx_fault(e: sgx_sim::SgxError, addr: u64, access: Access) -> VmFault {
     }
 }
 
+/// The page-bounded pieces of the access `[addr, addr + len)`: each
+/// piece's address and its range within the access.
+fn page_pieces(addr: u64, len: usize) -> impl Iterator<Item = (u64, std::ops::Range<usize>)> {
+    let mut off = 0;
+    std::iter::from_fn(move || {
+        (off < len).then(|| {
+            let at = addr + off as u64;
+            let n = (len - off).min((CODE_PAGE_SIZE - at % CODE_PAGE_SIZE) as usize);
+            off += n;
+            (at, off - n..off)
+        })
+    })
+}
+
 impl EnclaveWorld {
     fn in_enclave(&self, addr: u64) -> bool {
         addr >= self.enclave.base() && addr < self.enclave.base() + self.enclave.size()
@@ -174,9 +188,8 @@ impl EnclaveWorld {
 
     /// Reloads the evicted page a range operation faulted on, for up to
     /// one retry per page the range can touch. Returns `Err` (propagating
-    /// the original fault) once the retry budget is exhausted — a single
-    /// access spanning more pages than the EPC cap must fault, not
-    /// livelock on eviction ping-pong.
+    /// the original fault) once the retry budget is exhausted, so eviction
+    /// ping-pong cannot livelock an access.
     fn retry_after_page_in(
         &mut self,
         e: &sgx_sim::SgxError,
@@ -192,30 +205,32 @@ impl EnclaveWorld {
         Ok(false)
     }
 
+    /// True when `[addr, addr + len)` spans more pages than the armed EPC
+    /// budget keeps resident: such a range can never be present at once,
+    /// so the accessors below take it a page at a time (and a write to it
+    /// is then not atomic across pages).
+    fn wider_than_budget(&self, addr: u64, len: usize) -> bool {
+        let Some(budget) = &self.budget else { return false };
+        let last = addr.saturating_add(len.max(1) as u64 - 1);
+        (last / CODE_PAGE_SIZE - addr / CODE_PAGE_SIZE) as usize >= budget.cap_pages()
+    }
+
     fn read_guest(&mut self, addr: u64, len: usize) -> Result<Vec<u8>, VmFault> {
-        if self.in_enclave(addr) {
-            let mut retries = 2 + len / 4096;
-            loop {
-                match self.enclave.read(addr, len, AccessKind::Read) {
-                    Ok(v) => return Ok(v),
-                    Err(e) => {
-                        if !self.retry_after_page_in(&e, Access::Read, &mut retries)? {
-                            return Err(map_sgx_fault(e, addr, Access::Read));
-                        }
-                    }
-                }
-            }
-        } else {
-            self.untrusted
-                .read(addr, len)
-                .map_err(|_| VmFault::Unmapped { addr, access: Access::Read })
-        }
+        let mut v = vec![0u8; len];
+        self.read_guest_into(addr, &mut v)?;
+        Ok(v)
     }
 
     /// Allocation-free variant of [`Self::read_guest`] backing the VM's
     /// load path: the destination is a caller-owned stack buffer.
     fn read_guest_into(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), VmFault> {
         if self.in_enclave(addr) {
+            if self.wider_than_budget(addr, buf.len()) {
+                for (at, r) in page_pieces(addr, buf.len()) {
+                    self.read_guest_into(at, &mut buf[r])?;
+                }
+                return Ok(());
+            }
             let mut retries = 2 + buf.len() / 4096;
             loop {
                 match self.enclave.read_into(addr, buf, AccessKind::Read) {
@@ -268,6 +283,12 @@ impl EnclaveWorld {
         if self.in_enclave(addr) {
             if !self.os_write_allowed(addr, data.len() as u64) {
                 return Err(VmFault::AccessViolation { addr, access: Access::Write });
+            }
+            if self.wider_than_budget(addr, data.len()) {
+                for (at, r) in page_pieces(addr, data.len()) {
+                    self.write_guest(at, &data[r])?;
+                }
+                return Ok(());
             }
             let mut retries = 2 + data.len() / 4096;
             loop {
@@ -445,6 +466,10 @@ impl Bus for EnclaveWorld {
                 .map_err(|e| map_sgx_fault(e, addr, Access::Execute))?;
         }
         Ok(raw)
+    }
+
+    fn exec_page_resident(&mut self, page_addr: u64) -> bool {
+        self.enclave.page_perms(page_addr).is_some()
     }
 
     fn exec_page_generation(&mut self, page_addr: u64) -> Option<u64> {
@@ -1510,6 +1535,40 @@ dstbuf: .zero 4096
         }
         let stats = rt2.epc_budget().unwrap().stats();
         assert!(stats.reloads > 0, "budgeted run must have paged: {stats:?}");
+        assert_eq!(stats.reload_failures, 0);
+    }
+
+    #[test]
+    fn accesses_wider_than_the_epc_cap_go_a_page_at_a_time() {
+        // An unaligned 4 KiB copy spans two source and two destination
+        // pages. Under a one-page cap no access can hold both of its pages
+        // at once, so each is split at the page boundary.
+        let user = "
+.section text
+.global shuffle
+.func shuffle
+    la   r1, dstbuf
+    addi r1, r1, 8
+    la   r2, srcbuf
+    addi r2, r2, 8
+    li   r3, 4096
+    intrin 9
+    la   r1, dstbuf
+    ld64 r0, [r1+8]
+    ret
+.endfunc
+.section data
+srcbuf: .zero 8
+    .quad 0x1122334455667788
+    .zero 4088
+dstbuf: .zero 4112
+";
+        let mut rt = build_runtime(user, &["shuffle"]);
+        let mut rng = SeededRandom::new(6);
+        rt.set_epc_budget(EpcBudget::new(1, &mut rng)).unwrap();
+        assert_eq!(rt.ecall(0, &[], 0).unwrap().status, 0x1122_3344_5566_7788);
+        let stats = rt.epc_budget().unwrap().stats();
+        assert!(stats.reloads > 0, "a one-page cap must page: {stats:?}");
         assert_eq!(stats.reload_failures, 0);
     }
 

@@ -98,6 +98,7 @@ pub const TRTS_ASM: &str = r#"
 
 .section bss
 .align 4096
+.global __stack_bottom       ; elide_restore borrows the bottom as its buffer
 __stack_bottom:
     .zero 65536
 __stack_top:
@@ -128,9 +129,10 @@ mod tests {
         assert!(obj.symbol("elide_memcpy").is_some());
         assert!(obj.symbol("elide_memset").is_some());
         assert!(obj.symbol("elide_memcmp").is_some());
-        assert!(obj.symbol("__stack_top").is_some());
-        let bss = obj.section("bss").unwrap();
-        assert!(bss.size >= STACK_SIZE);
+        let bottom = obj.symbol("__stack_bottom").unwrap();
+        assert!(bottom.global, "the restorer links against the stack bottom");
+        let top = obj.symbol("__stack_top").unwrap();
+        assert_eq!(top.offset - bottom.offset, STACK_SIZE);
     }
 
     #[test]

@@ -29,7 +29,9 @@ pub struct EpcBudgetStats {
     /// Pages evicted under budget pressure (clean drops + EWBs).
     pub evictions: u64,
     /// Clean evictions: the page matched its backing snapshot (never
-    /// written since capture), so it was dropped without sealing.
+    /// written since capture) or the blob it was last reloaded from
+    /// (never written since that `ELDU`), so it was dropped without
+    /// sealing.
     pub clean_drops: u64,
     /// Pages transparently brought back on touch (ELDU of a sealed blob
     /// or a plain copy from the backing snapshot).
@@ -67,6 +69,11 @@ pub struct EpcBudget {
     /// Lives in the same trust class as the pager's version array: PRM-
     /// resident paging metadata the enclave driver maintains.
     backing: HashMap<u64, (EpcPage, u64)>,
+    /// Blobs of pages reloaded by `ELDU`, with the generation stamp right
+    /// after the reload. While the stamp still matches, the page holds
+    /// exactly the blob's plaintext, so evicting it again reinstates that
+    /// blob instead of sealing a new one.
+    reloaded: HashMap<u64, (EvictedPage, u64)>,
     rng: SeededRandom,
     tamper: Option<Tamper>,
     stats: EpcBudgetStats,
@@ -93,6 +100,7 @@ impl EpcBudget {
             pager: PagingManager::new(rng),
             evicted: HashMap::new(),
             backing: HashMap::new(),
+            reloaded: HashMap::new(),
             rng: SeededRandom::new(u64::from_le_bytes(seed)),
             tamper: None,
             stats: EpcBudgetStats::default(),
@@ -147,15 +155,19 @@ impl EpcBudget {
         }
     }
 
-    /// Evicts one victim: a clean drop if its backing snapshot is still
-    /// current, a (possibly tampered) EWB otherwise.
+    /// Evicts one victim: a clean drop if its backing snapshot or its
+    /// reloaded blob is still current, a (possibly tampered) EWB otherwise.
     fn evict_one(&mut self, enclave: &mut Enclave, victim: u64) -> Result<(), SgxError> {
-        let clean = self
-            .backing
-            .get(&victim)
-            .is_some_and(|(_, gen)| enclave.page_generation(enclave.base() + victim) == Some(*gen));
+        let gen = enclave.page_generation(enclave.base() + victim);
+        let clean = self.backing.get(&victim).is_some_and(|(_, g)| gen == Some(*g));
+        let unwritten = self.reloaded.remove(&victim).filter(|(_, g)| gen == Some(*g));
         if clean {
             enclave.page_evict(victim);
+            self.stats.clean_drops += 1;
+        } else if let Some((blob, _)) = unwritten {
+            enclave.page_evict(victim);
+            self.pager.reinstate(&blob);
+            self.evicted.insert(victim, blob);
             self.stats.clean_drops += 1;
         } else {
             let mut blob = self.pager.ewb(enclave, victim, &mut self.rng)?;
@@ -211,7 +223,11 @@ impl EpcBudget {
         if let Some(blob) = self.evicted.get(&page_off) {
             return match self.pager.eldu(enclave, blob) {
                 Ok(()) => {
-                    self.evicted.remove(&page_off);
+                    let blob = self.evicted.remove(&page_off).expect("checked above");
+                    let gen = enclave
+                        .page_generation(enclave.base() + page_off)
+                        .expect("page resident right after ELDU");
+                    self.reloaded.insert(page_off, (blob, gen));
                     self.stats.reloads += 1;
                     self.enforce(enclave)?;
                     Ok(true)
@@ -404,6 +420,33 @@ mod tests {
         // Its reload is an ELDU that brings back the written byte.
         assert!(b.page_in(&mut e, BASE).unwrap());
         assert_eq!(e.read(BASE, 1, AccessKind::Read).unwrap(), vec![0xEE]);
+    }
+
+    #[test]
+    fn reloaded_page_left_unwritten_drops_back_to_its_blob() {
+        let (mut e, mut rng) = setup(2);
+        let mut b = EpcBudget::new(1, &mut rng);
+        b.capture_backing(&e);
+        e.store_prim(BASE, 1, 0xEE).unwrap();
+        e.load_prim(BASE + PAGE_SIZE, 1).unwrap();
+        b.enforce(&mut e).unwrap();
+        let sealed = b.stats().evictions - b.stats().clean_drops;
+        assert_eq!(sealed, 1, "the written page is sealed");
+        // Reload it and only read: evicting it again seals nothing, and
+        // the reinstated blob still brings back the written byte.
+        assert!(b.page_in(&mut e, BASE).unwrap());
+        assert_eq!(e.read(BASE, 1, AccessKind::Read).unwrap(), vec![0xEE]);
+        assert!(b.page_in(&mut e, BASE + PAGE_SIZE).unwrap());
+        assert_eq!(b.stats().evictions - b.stats().clean_drops, sealed);
+        assert!(b.page_in(&mut e, BASE).unwrap());
+        assert_eq!(e.read(BASE, 1, AccessKind::Read).unwrap(), vec![0xEE]);
+        // A write after the reload makes the next eviction seal afresh.
+        e.store_prim(BASE, 1, 0xEF).unwrap();
+        assert!(b.page_in(&mut e, BASE + PAGE_SIZE).unwrap());
+        assert_eq!(b.stats().evictions - b.stats().clean_drops, sealed + 1);
+        assert!(b.page_in(&mut e, BASE).unwrap());
+        assert_eq!(e.read(BASE, 1, AccessKind::Read).unwrap(), vec![0xEF]);
+        assert_eq!(b.stats().reload_failures, 0);
     }
 
     #[test]

@@ -38,6 +38,9 @@ pub struct EvictedPage {
 /// lives in VA pages inside the EPC) and the paging key.
 pub struct PagingManager {
     key: [u8; 16],
+    /// The key's AES-GCM context, built on the first `EWB`/`ELDU`: its
+    /// GHASH table costs as much as sealing a page, so it is built once.
+    gcm: Option<AesGcm>,
     versions: HashMap<u64, u64>,
     counter: u64,
 }
@@ -58,9 +61,15 @@ impl PagingManager {
         rng.fill(&mut seed);
         PagingManager {
             key: derive_key_128(&seed, "ewb-paging", b""),
+            gcm: None,
             versions: HashMap::new(),
             counter: 0,
         }
+    }
+
+    fn gcm(&mut self) -> &AesGcm {
+        let key = self.key;
+        self.gcm.get_or_insert_with(|| AesGcm::new(&key).expect("16-byte key"))
     }
 
     fn aad(page_offset: u64, perms: u8, ptype: u8, version: u64) -> Vec<u8> {
@@ -91,12 +100,21 @@ impl PagingManager {
         self.versions.insert(page_offset, version);
         let mut iv = [0u8; 12];
         rng.fill(&mut iv);
-        let gcm = AesGcm::new(&self.key).expect("16-byte key");
+        let gcm = self.gcm();
         let perms = page.perms.bits();
         let ptype = page.ptype as u8;
         let (ciphertext, tag) =
             gcm.seal(&iv, &Self::aad(page_offset, perms, ptype, version), &page.data[..]);
         Ok(EvictedPage { page_offset, iv, ciphertext, tag, perms, ptype, version })
+    }
+
+    /// Makes `evicted` the valid copy of its page again, as if `EWB` had
+    /// sealed the same bytes once more. Sound only while the page holds
+    /// exactly the blob's plaintext, i.e. it was reloaded from this blob by
+    /// [`Self::eldu`], not written since, and has just been evicted: every
+    /// older blob of the page stays stale.
+    pub(crate) fn reinstate(&mut self, evicted: &EvictedPage) {
+        self.versions.insert(evicted.page_offset, evicted.version);
     }
 
     /// `ELDU`: reloads an evicted page into the EPC, verifying integrity
@@ -117,7 +135,7 @@ impl PagingManager {
             Some(&v) if v == evicted.version => {}
             _ => return Err(SgxError::ReplayDetected),
         }
-        let gcm = AesGcm::new(&self.key).expect("16-byte key");
+        let gcm = self.gcm();
         let aad = Self::aad(evicted.page_offset, evicted.perms, evicted.ptype, evicted.version);
         let plain = gcm
             .open(&evicted.iv, &aad, &evicted.ciphertext, &evicted.tag)

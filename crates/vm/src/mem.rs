@@ -163,6 +163,15 @@ pub trait Bus {
         None
     }
 
+    /// Whether the code page at `page_addr` is present, so that
+    /// [`Bus::exec_page_generation`] on it pages nothing in. The translator
+    /// only extends a trace into the next page when it is: paging a
+    /// neighbour in merely to look ahead would evict the page that runs.
+    fn exec_page_resident(&mut self, page_addr: u64) -> bool {
+        let _ = page_addr;
+        true
+    }
+
     /// Copies the whole aligned code page at `page_addr` into `buf`,
     /// checking execute permission once for the entire page, and returns
     /// its generation stamp. Only called for pages where

@@ -1408,7 +1408,9 @@ fn translate_with_pair<B: Bus + ?Sized>(
     idx: usize,
 ) -> Option<u32> {
     let next_page = page + CODE_PAGE_SIZE;
-    let Some(slot2) = vm.dcache.validate(bus, next_page) else {
+    let neighbour =
+        if bus.exec_page_resident(next_page) { vm.dcache.validate(bus, next_page) } else { None };
+    let Some(slot2) = neighbour else {
         return Some(vm.trans.translate(slot, idx, vm.dcache.instrs(slot), page, None));
     };
     if vm.dcache.slot_page(slot) != page {

@@ -2,22 +2,29 @@
 //! load → attest → restore → run, over in-process and real TCP transports,
 //! in whitelist and blacklist modes, with remote and local data.
 
-use sgxelide::core::api::{protect, Mode, Platform};
-use sgxelide::core::elide_asm::{restore_status, ELIDE_ASM};
+use sgxelide::core::api::{protect, LaunchedApp, Mode, Platform};
+use sgxelide::core::elide_asm::{restore_status, ELIDE_ASM, RESTORE_CAP, SEAL_OVERHEAD};
 use sgxelide::core::protocol::{InProcessTransport, TcpTransport};
 use sgxelide::core::restore::new_sealed_store;
-use sgxelide::core::sanitizer::DataPlacement;
+use sgxelide::core::sanitizer::{DataPlacement, MAX_TEXT_LEN};
 use sgxelide::core::service::{serve, ServiceConfig};
 use sgxelide::core::transport::tcp::TcpAcceptor;
 use sgxelide::core::{ElideError, ServerError};
 use sgxelide::crypto::rng::SeededRandom;
 use sgxelide::crypto::rsa::RsaKeyPair;
 use sgxelide::enclave::image::EnclaveImageBuilder;
+use sgxelide::enclave::loader::measure_enclave;
+use sgxelide::sgx::enclave::AccessKind;
 use sgxelide::sgx::quote::AttestationService;
 use std::sync::{Arc, Mutex};
 
 /// A small enclave with two user functions; `get_answer` is the secret.
 fn build_test_image() -> Vec<u8> {
+    build_test_image_with("")
+}
+
+/// [`build_test_image`] with `extra` assembled after the user functions.
+fn build_test_image_with(extra: &str) -> Vec<u8> {
     let mut b = EnclaveImageBuilder::new();
     b.source(ELIDE_ASM)
         .source(
@@ -25,10 +32,33 @@ fn build_test_image() -> Vec<u8> {
              .global get_answer\n.func get_answer\n    movi r0, 42\n    ret\n.endfunc\n\
              .global double_input\n.func double_input\n    ld64 r0, [r2]\n    add r0, r0, r0\n    ret\n.endfunc\n",
         )
+        .source(extra)
         .ecall("get_answer")
         .ecall("double_input")
         .ecall("elide_restore");
     b.build().unwrap()
+}
+
+/// The test image with its `.text` padded to exactly `text_len` bytes by a
+/// zero-filled function at the end of the section.
+fn build_test_image_with_text_len(text_len: u64) -> Vec<u8> {
+    let pad = |n: u64| format!(".section text\n.func pad\n    .zero {n}\n.endfunc\n");
+    let unpadded = text_section(&build_test_image_with(&pad(8))).1.len() as u64 - 8;
+    let image = build_test_image_with(&pad(text_len - unpadded));
+    assert_eq!(text_section(&image).1.len() as u64, text_len);
+    image
+}
+
+/// Address and bytes of an image's `.text` section.
+fn text_section(image: &[u8]) -> (u64, Vec<u8>) {
+    let elf = sgxelide::elf::ElfFile::parse(image.to_vec()).unwrap();
+    let text = elf.section_by_name(".text").unwrap();
+    (text.sh_addr, elf.section_data(text).unwrap().to_vec())
+}
+
+/// The enclave's current `.text`, read from inside.
+fn enclave_text(app: &LaunchedApp, (addr, original): &(u64, Vec<u8>)) -> Vec<u8> {
+    app.runtime.enclave().read(*addr, original.len(), AccessKind::Read).unwrap()
 }
 
 const GET_ANSWER: u64 = 0;
@@ -220,6 +250,88 @@ fn sealed_data_survives_relaunch_but_not_rebuild() {
     app2.restore(ELIDE_RESTORE).unwrap();
     assert_eq!(app2.runtime.ecall(GET_ANSWER, &[], 0).unwrap().status, 42);
     assert_eq!(server.handshakes(), handshakes);
+}
+
+/// The sealed blob's `[text_len][restore_off]` header is sealed with the
+/// text, so a host that edits any byte ahead of the text (the IV or the
+/// header) cannot choose where the genuine text lands. Every such blob
+/// falls back to the handshake and restores byte-identically; with the
+/// server down, the restore fails and every secret ecall still faults.
+#[test]
+fn sealed_blob_header_is_authenticated() {
+    let (package, platform, server) = setup(DataPlacement::Remote, Mode::Whitelist);
+    let original = text_section(&build_test_image());
+    let plan = package.image_plan().unwrap();
+    let transport = Arc::new(Mutex::new(InProcessTransport::new(Arc::clone(&server))));
+    let sealed = new_sealed_store();
+    let mut app =
+        package.launch(&platform, Arc::clone(&transport) as _, Arc::clone(&sealed), 20).unwrap();
+    app.restore(ELIDE_RESTORE).unwrap();
+    let blob = sealed.lock().unwrap().clone().unwrap();
+    assert_eq!(blob.len() as u64, original.1.len() as u64 + SEAL_OVERHEAD);
+
+    for at in 0..28 {
+        let mut tampered = blob.clone();
+        tampered[at] ^= 0x10;
+        let handshakes = server.handshakes();
+        let store = Arc::new(Mutex::new(Some(tampered.clone())));
+        let mut app = package.launch(&platform, Arc::clone(&transport) as _, store, 21).unwrap();
+        app.restore(ELIDE_RESTORE).unwrap();
+        assert_eq!(server.handshakes(), handshakes + 1, "byte {at}: no handshake fallback");
+        assert_eq!(enclave_text(&app, &original), original.1, "byte {at}: text differs");
+        assert_eq!(app.runtime.ecall(GET_ANSWER, &[], 0).unwrap().status, 42);
+
+        let store = Arc::new(Mutex::new(Some(tampered)));
+        let mut app = package.warm_start(&plan, &platform, store, 22).unwrap();
+        assert!(app.restore(ELIDE_RESTORE).is_err(), "byte {at}: offline restore succeeded");
+        assert!(app.runtime.ecall(GET_ANSWER, &[], 0).is_err(), "byte {at}");
+        assert!(app.runtime.ecall(DOUBLE_INPUT, &21u64.to_le_bytes(), 0).is_err(), "byte {at}");
+    }
+}
+
+/// A `.text` of exactly `MAX_TEXT_LEN` bytes fills the restore buffer with
+/// its sealed blob and restores on the handshake path (remote and local
+/// data) and on the sealed path.
+#[test]
+fn text_of_max_len_restores_on_both_paths() {
+    let image = build_test_image_with_text_len(MAX_TEXT_LEN);
+    let original = text_section(&image);
+    for placement in [DataPlacement::Remote, DataPlacement::LocalEncrypted] {
+        let mut rng = SeededRandom::new(0x3A4);
+        let vendor = RsaKeyPair::generate(512, &mut rng);
+        let package = protect(&image, &vendor, &Mode::Whitelist, placement, &mut rng).unwrap();
+        assert_eq!(package.mrenclave, measure_enclave(&package.image).unwrap());
+        let mut ias = AttestationService::new();
+        let platform = Platform::provision(&mut rng, &mut ias);
+        let server = Arc::new(package.make_server(ias));
+        let transport = Arc::new(Mutex::new(InProcessTransport::new(server)));
+        let sealed = new_sealed_store();
+        let mut app = package.launch(&platform, transport, Arc::clone(&sealed), 23).unwrap();
+        app.restore(ELIDE_RESTORE).unwrap();
+        assert_eq!(enclave_text(&app, &original), original.1, "{placement:?}: handshake path");
+        assert_eq!(app.runtime.ecall(GET_ANSWER, &[], 0).unwrap().status, 42);
+        let blob_len = sealed.lock().unwrap().as_ref().unwrap().len() as u64;
+        assert_eq!(blob_len, MAX_TEXT_LEN + SEAL_OVERHEAD);
+        assert!(RESTORE_CAP - blob_len < 8, "the seal fills the buffer to the instruction");
+
+        let mut warm = package.warm_start(&package.image_plan().unwrap(), &platform, sealed, 24);
+        let warm = warm.as_mut().unwrap();
+        warm.restore(ELIDE_RESTORE).unwrap();
+        assert_eq!(enclave_text(warm, &original), original.1, "{placement:?}: sealed path");
+        assert_eq!(warm.runtime.ecall(DOUBLE_INPUT, &21u64.to_le_bytes(), 0).unwrap().status, 42);
+    }
+}
+
+#[test]
+fn text_over_max_len_is_rejected_by_protect() {
+    // The next `.text` size the linker emits: it pads sections to 16 bytes.
+    let image = build_test_image_with_text_len(MAX_TEXT_LEN + 16);
+    let mut rng = SeededRandom::new(0x3A5);
+    let vendor = RsaKeyPair::generate(512, &mut rng);
+    for placement in [DataPlacement::Remote, DataPlacement::LocalEncrypted] {
+        let err = protect(&image, &vendor, &Mode::Whitelist, placement, &mut rng).unwrap_err();
+        assert!(matches!(err, ElideError::BadImage(_)), "{placement:?}: {err:?}");
+    }
 }
 
 #[test]

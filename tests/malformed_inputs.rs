@@ -6,14 +6,18 @@
 //! the service drop the connection without harming other clients.
 
 use sgxelide::core::api::{protect, Mode, Platform};
-use sgxelide::core::elide_asm::{request, restore_status, ELIDE_ASM};
+use sgxelide::core::elide_asm::{request, restore_status, ELIDE_ASM, RESTORE_CAP};
+use sgxelide::core::meta::SecretMeta;
 use sgxelide::core::protocol::{InProcessTransport, Transport};
-use sgxelide::core::restore::new_sealed_store;
+use sgxelide::core::restore::{elide_restore, install_elide_ocalls, new_sealed_store, ElideFiles};
 use sgxelide::core::sanitizer::DataPlacement;
+use sgxelide::core::server::{AuthServer, ExpectedIdentity};
 use sgxelide::core::ElideError;
 use sgxelide::crypto::rng::SeededRandom;
 use sgxelide::crypto::rsa::RsaKeyPair;
 use sgxelide::enclave::image::EnclaveImageBuilder;
+use sgxelide::enclave::loader::load_enclave;
+use sgxelide::enclave::runtime::EnclaveRuntime;
 use sgxelide::sgx::quote::AttestationService;
 use std::sync::{Arc, Mutex};
 
@@ -29,16 +33,21 @@ impl<F: FnMut(u8, Vec<u8>) -> Vec<u8>> Transport for Rewriter<F> {
     }
 }
 
-fn restore_with<F>(rewrite: F, seed: u64) -> Result<(), ElideError>
-where
-    F: FnMut(u8, Vec<u8>) -> Vec<u8> + Send + 'static,
-{
+/// The test guest: ecall 0 is the secret `s`, ecall 1 `elide_restore`.
+fn guest_image() -> Vec<u8> {
     let mut b = EnclaveImageBuilder::new();
     b.source(ELIDE_ASM)
         .source(".section text\n.global s\n.func s\n    movi r0, 3\n    ret\n.endfunc\n")
         .ecall("s")
         .ecall("elide_restore");
-    let image = b.build().unwrap();
+    b.build().unwrap()
+}
+
+fn restore_with<F>(rewrite: F, seed: u64) -> Result<(), ElideError>
+where
+    F: FnMut(u8, Vec<u8>) -> Vec<u8> + Send + 'static,
+{
+    let image = guest_image();
     let mut rng = SeededRandom::new(seed);
     let vendor = RsaKeyPair::generate(512, &mut rng);
     let package =
@@ -109,6 +118,95 @@ fn garbage_data_response_fails_cleanly() {
     )
     .unwrap_err();
     assert_eq!(err, ElideError::RestoreFailed { status: restore_status::DATA_AUTH_FAILED });
+}
+
+/// Protects the test guest, lets `edit` change what the server serves
+/// (metadata and payload) and the data file shipped next to the enclave,
+/// then restores once. Returns the restore result and whether the secret
+/// ecall still faults afterwards.
+fn restore_edited<E>(placement: DataPlacement, edit: E, seed: u64) -> (Result<(), ElideError>, bool)
+where
+    E: FnOnce(&mut SecretMeta, &mut Vec<u8>, &mut ElideFiles),
+{
+    let mut rng = SeededRandom::new(seed);
+    let vendor = RsaKeyPair::generate(512, &mut rng);
+    let package = protect(&guest_image(), &vendor, &Mode::Whitelist, placement, &mut rng).unwrap();
+    let mut ias = AttestationService::new();
+    let platform = Platform::provision(&mut rng, &mut ias);
+    let mut meta = package.meta.clone();
+    let mut data = if meta.is_local() { Vec::new() } else { package.server_data.clone() };
+    let mut files = package.files(new_sealed_store());
+    edit(&mut meta, &mut data, &mut files);
+    let expected = ExpectedIdentity { mrenclave: Some(package.mrenclave), mrsigner: None };
+    let server = Arc::new(AuthServer::new(meta, data, expected, ias));
+    let loaded = load_enclave(&platform.cpu, &package.image, &package.sigstruct).unwrap();
+    let mut rt = EnclaveRuntime::with_rng(loaded, Box::new(SeededRandom::new(seed ^ 3)));
+    let transport = Arc::new(Mutex::new(InProcessTransport::new(server)));
+    install_elide_ocalls(&mut rt, transport, Arc::clone(&platform.qe), files);
+    let result = elide_restore(&mut rt, 1).map(|_| ());
+    (result, rt.ecall(0, &[], 0).is_err())
+}
+
+const DATA_FAILED: Result<(), ElideError> =
+    Err(ElideError::RestoreFailed { status: restore_status::DATA_FAILED });
+
+#[test]
+fn whitelist_data_longer_than_text_fails_cleanly() {
+    // Whitelist data is decrypted straight over .text, so a payload longer
+    // than the text would overwrite whatever follows it.
+    let (result, faults) = restore_edited(
+        DataPlacement::Remote,
+        |meta, data, _| {
+            meta.data_len += 16;
+            data.extend_from_slice(&[0x90; 16]);
+        },
+        0xB1,
+    );
+    assert_eq!(result, DATA_FAILED);
+    assert!(faults, "no partial restore");
+}
+
+#[test]
+fn local_data_file_of_wrong_length_fails_cleanly() {
+    for (longer, seed) in [(false, 0xB2), (true, 0xB3)] {
+        let (result, faults) = restore_edited(
+            DataPlacement::LocalEncrypted,
+            |_, _, files| {
+                let file = files.data_file.as_mut().unwrap();
+                if longer {
+                    file.push(0);
+                } else {
+                    file.pop();
+                }
+            },
+            seed,
+        );
+        assert_eq!(result, DATA_FAILED, "longer file: {longer}");
+        assert!(faults, "no partial restore (longer file: {longer})");
+    }
+}
+
+#[test]
+fn data_response_one_byte_over_the_restore_buffer_fails_cleanly() {
+    // A response of RESTORE_CAP bytes is copied in and fails its tag; one
+    // byte more is refused before the copy.
+    for (len, status, seed) in [
+        (RESTORE_CAP, restore_status::DATA_AUTH_FAILED, 0xB4),
+        (RESTORE_CAP + 1, restore_status::DATA_FAILED, 0xB5),
+    ] {
+        let err = restore_with(
+            move |req, resp| {
+                if req as u64 == request::DATA {
+                    vec![0xCC; len as usize]
+                } else {
+                    resp
+                }
+            },
+            seed,
+        )
+        .unwrap_err();
+        assert_eq!(err, ElideError::RestoreFailed { status }, "{len}-byte response");
+    }
 }
 
 #[test]
