@@ -5,7 +5,7 @@
 use elide_core::api::{protect, LaunchedApp, Mode, Platform, ProtectedPackage};
 use elide_core::elide_asm::ELIDE_ASM;
 use elide_core::error::ElideError;
-use elide_core::protocol::InProcessTransport;
+use elide_core::protocol::{InProcessTransport, OfflineTransport};
 use elide_core::restore::{new_sealed_store, SealedStore};
 use elide_core::sanitizer::DataPlacement;
 use elide_core::server::AuthServer;
@@ -119,7 +119,7 @@ impl ProtectedApp {
     ///
     /// # Errors
     ///
-    /// See [`elide_core::restore::elide_restore`].
+    /// See [`elide_core::api::LaunchedApp::restore`].
     pub fn restore(&mut self) -> Result<u64, ElideError> {
         let idx = self.indices["elide_restore"];
         Ok(self.app.restore(idx)?.instructions)
@@ -140,16 +140,16 @@ impl ProtectedApp {
 
     /// Relaunches from the sealed blob with **no server wired** — the
     /// warm-start path. The next [`Self::restore`] must take the sealed
-    /// fast path; any server contact fails with a transport error.
+    /// fast path; any server contact fails with
+    /// [`ElideError::NoSealedState`].
     ///
     /// # Errors
     ///
-    /// [`ElideError::NoSealedState`] before the first successful restore;
-    /// load errors as in [`Self::relaunch`].
+    /// Load errors as in [`Self::relaunch`].
     pub fn warm_relaunch(&mut self, seed: u64) -> Result<(), ElideError> {
-        let plan = self.package.image_plan()?;
+        let transport = Arc::new(Mutex::new(OfflineTransport));
         self.app =
-            self.package.warm_start(&plan, &self.platform, Arc::clone(&self.sealed), seed)?;
+            self.package.launch(&self.platform, transport, Arc::clone(&self.sealed), seed)?;
         Ok(())
     }
 }

@@ -567,7 +567,7 @@ fn pressure_mips(
 /// Panics if any pipeline stage fails (benchmark harness context).
 pub fn epc_pressure_elide(app: &App, reps: usize) -> Vec<PressureRecord> {
     use elide_core::api::{protect, Mode, Platform};
-    use elide_core::protocol::InProcessTransport;
+    use elide_core::protocol::{InProcessTransport, OfflineTransport};
     use elide_core::restore::new_sealed_store;
     use elide_crypto::rsa::RsaKeyPair;
     use sgx_sim::budget::EpcBudget;
@@ -617,8 +617,9 @@ pub fn epc_pressure_elide(app: &App, reps: usize) -> Vec<PressureRecord> {
         let t0 = Instant::now();
         let mut last = None;
         for i in 0..reps {
+            let offline = Arc::new(Mutex::new(OfflineTransport));
             let mut l = package
-                .warm_start(&plan, &platform, Arc::clone(&sealed), 0x3A91 + i as u64)
+                .launch_planned(&plan, &platform, offline, Arc::clone(&sealed), 0x3A91 + i as u64)
                 .expect("warm start");
             let mut brng = SeededRandom::new(0xB0D6 + i as u64);
             l.runtime.set_epc_budget(EpcBudget::new(page_cap, &mut brng)).expect("budget");
@@ -885,7 +886,7 @@ pub fn delegation_provisioning(peers: usize, reps: usize) -> Vec<DelegationRecor
     use elide_core::delegation::{DelegateServer, EcallReportVerifier};
     use elide_core::elide_asm::ELIDE_ASM;
     use elide_core::protocol::{InProcessTransport, Transport};
-    use elide_core::restore::{new_sealed_store, RestoreRoute};
+    use elide_core::restore::new_sealed_store;
     use elide_core::ticket::now_ms;
     use elide_core::ElideError;
     use elide_crypto::rsa::RsaKeyPair;
@@ -978,12 +979,11 @@ pub fn delegation_provisioning(peers: usize, reps: usize) -> Vec<DelegationRecor
         let target = delegate.policy().delegate_mrenclave;
         for i in 0..peers {
             let seed = 0xE000 + (rep * peers + i) as u64;
-            let peer: Arc<Mutex<dyn Transport + Send>> = Arc::new(Mutex::new(delegate.connect()));
-            let route = RestoreRoute { origin: origin(&server), delegate: Some(peer) };
             let mut l = package
-                .launch_routed(&plan, &platform, route, new_sealed_store(), seed)
+                .launch_planned(&plan, &platform, origin(&server), new_sealed_store(), seed)
                 .expect("peer launch");
-            l.restore_delegated(RESTORE_IDX, &target).expect("delegated restore");
+            l.restore_delegated(RESTORE_IDX, Box::new(delegate.connect()), &target)
+                .expect("delegated restore");
         }
     }
     let delegated_s = t0.elapsed().as_secs_f64();

@@ -6,9 +6,8 @@ use crate::error::ElideError;
 use crate::meta::SecretMeta;
 use crate::protocol::Transport;
 use crate::restore::{
-    elide_restore_diag, elide_restore_targeted_diag, elide_restore_with_retry_diag,
-    install_elide_ocalls_routed, DelegationSwitch, ElideFiles, ErrorSink, RestoreRoute,
-    RestoreStats, RetryPolicy, SealedStore,
+    install_ocalls, is_transient, lock, DelegateSlot, ElideFiles, ErrorSink, RestoreStats,
+    RetryPolicy, SealedStore,
 };
 use crate::sanitizer::{sanitize, sanitize_blacklist, DataPlacement, SanitizedEnclave};
 use crate::server::{AuthServer, ExpectedIdentity};
@@ -170,7 +169,10 @@ impl ProtectedPackage {
     }
 
     /// [`Self::launch`] from a pre-parsed [`ImagePlan`] (must come from
-    /// this package's image).
+    /// this package's image). A warm start is this launch over
+    /// [`crate::protocol::OfflineTransport`]: the restore must then take the
+    /// sealed fast path, and fails with [`ElideError::NoSealedState`] if it
+    /// reaches for the server instead.
     ///
     /// # Errors
     ///
@@ -183,126 +185,105 @@ impl ProtectedPackage {
         sealed: SealedStore,
         seed: u64,
     ) -> Result<LaunchedApp, ElideError> {
-        self.launch_routed(plan, platform, RestoreRoute::origin_only(transport), sealed, seed)
-    }
-
-    /// [`Self::launch_planned`] with a [`RestoreRoute`]: the origin server
-    /// plus an optional local delegate. The returned app can then
-    /// [`LaunchedApp::restore_delegated`] against the delegate, falling
-    /// back to a plain [`LaunchedApp::restore`] (origin) on any failure —
-    /// same runtime, no relaunch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates load/`EINIT` failures.
-    pub fn launch_routed(
-        &self,
-        plan: &ImagePlan,
-        platform: &Platform,
-        route: RestoreRoute,
-        sealed: SealedStore,
-        seed: u64,
-    ) -> Result<LaunchedApp, ElideError> {
         let loaded = plan.load(&platform.cpu, &self.sigstruct)?;
-        let mut runtime = EnclaveRuntime::with_rng(loaded, Box::new(SeededRandom::new(seed)));
-        let (errors, delegation) = install_elide_ocalls_routed(
-            &mut runtime,
-            route,
-            Arc::clone(&platform.qe),
-            self.files(sealed),
-        );
-        Ok(LaunchedApp { runtime, errors, delegation })
-    }
-
-    /// Warm start: relaunches a previously provisioned enclave from its
-    /// sealed blob, with **no server behind it** — the restore must take
-    /// the sealed fast path (decrypt under `EGETKEY`), skipping the
-    /// DH+attestation round-trip entirely. Pair with
-    /// [`LaunchedApp::restore`]: a restore that tries to reach the server
-    /// fails with a transport error rather than silently re-handshaking.
-    ///
-    /// # Errors
-    ///
-    /// * [`ElideError::NoSealedState`] — the store holds no blob (the
-    ///   enclave was never provisioned on this host).
-    /// * Load/`EINIT` failures as in [`Self::launch`].
-    pub fn warm_start(
-        &self,
-        plan: &ImagePlan,
-        platform: &Platform,
-        sealed: SealedStore,
-        seed: u64,
-    ) -> Result<LaunchedApp, ElideError> {
-        if sealed.lock().unwrap_or_else(std::sync::PoisonError::into_inner).is_none() {
-            return Err(ElideError::NoSealedState);
-        }
-        let transport: Arc<Mutex<dyn Transport + Send>> =
-            Arc::new(Mutex::new(crate::protocol::OfflineTransport));
-        self.launch_planned(plan, platform, transport, sealed, seed)
+        let runtime = EnclaveRuntime::with_rng(loaded, Box::new(SeededRandom::new(seed)));
+        Ok(LaunchedApp::new(runtime, transport, Arc::clone(&platform.qe), self.files(sealed)))
     }
 }
 
 /// A launched (sanitized) enclave with the SgxElide ocalls installed.
-#[derive(Debug)]
 pub struct LaunchedApp {
     /// The underlying enclave runtime; use it for application ecalls.
     pub runtime: EnclaveRuntime,
+    /// How [`Self::restore`] retries transient failures; never by default.
+    pub retry: RetryPolicy,
     /// Records the underlying host-side error behind a failed restore.
-    pub errors: ErrorSink,
-    /// Arms delegate routing for the duration of a delegated restore.
-    pub(crate) delegation: DelegationSwitch,
+    errors: ErrorSink,
+    /// Holds the delegate transport during [`Self::restore_delegated`].
+    delegate: DelegateSlot,
+}
+
+impl std::fmt::Debug for LaunchedApp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LaunchedApp")
+            .field("runtime", &self.runtime)
+            .field("retry", &self.retry)
+            .finish_non_exhaustive()
+    }
 }
 
 impl LaunchedApp {
-    /// Restores the enclave's secret code (the one developer-visible call).
-    ///
-    /// # Errors
-    ///
-    /// See [`elide_restore_diag`] — failures report the underlying
-    /// host-side cause when one was recorded, else the guest status.
-    pub fn restore(&mut self, restore_ecall_index: u64) -> Result<RestoreStats, ElideError> {
-        elide_restore_diag(&mut self.runtime, restore_ecall_index, &self.errors)
+    /// Installs the SgxElide ocalls into `runtime`: server requests go to
+    /// `transport` (quoted against `qe`), file reads and writes to `files`.
+    pub fn new(
+        mut runtime: EnclaveRuntime,
+        transport: Arc<Mutex<dyn Transport + Send>>,
+        qe: Arc<QuotingEnclave>,
+        files: ElideFiles,
+    ) -> Self {
+        let (errors, delegate) = install_ocalls(&mut runtime, transport, qe, files);
+        LaunchedApp { runtime, retry: RetryPolicy::none(), errors, delegate }
     }
 
-    /// [`Self::restore`] with client-side retries and exponential backoff
-    /// for transient server failures.
+    /// Restores the enclave's secret code (the one developer-visible call):
+    /// the guest tries its sealed blob, then the server, and transient
+    /// failures are retried under [`Self::retry`] with a full handshake.
     ///
     /// # Errors
     ///
-    /// See [`elide_restore_with_retry_diag`].
-    pub fn restore_with_retry(
-        &mut self,
-        restore_ecall_index: u64,
-        policy: &RetryPolicy,
-    ) -> Result<RestoreStats, ElideError> {
-        elide_restore_with_retry_diag(&mut self.runtime, restore_ecall_index, policy, &self.errors)
+    /// The underlying host-side cause when the ocalls recorded one, else
+    /// [`ElideError::RestoreFailed`] with the guest status (see
+    /// [`crate::elide_asm::restore_status`]) or the ecall's own fault. A
+    /// non-transient error (see [`is_transient`]) is returned at once.
+    pub fn restore(&mut self, restore_ecall_index: u64) -> Result<RestoreStats, ElideError> {
+        let mut result = self.attempt(restore_ecall_index, &[]);
+        for delay in self.retry.delays() {
+            match &result {
+                Err(e) if is_transient(e) => std::thread::sleep(delay),
+                _ => break,
+            }
+            result = self.attempt(restore_ecall_index, &[]);
+        }
+        result
     }
 
     /// Restores through a local delegate instead of the origin server: the
-    /// guest attests to `delegate_mrenclave` and the routed ocalls forward
-    /// the peer attestation to the delegate transport the app was launched
-    /// with ([`ProtectedPackage::launch_routed`]). Any failure leaves the
-    /// enclave sanitized; the caller can fall back to [`Self::restore`].
+    /// guest attests to `delegate_mrenclave`, and for this one call its
+    /// server requests go to `delegate`. Any failure leaves the enclave
+    /// sanitized, and a later [`Self::restore`] on the same runtime goes to
+    /// the origin. There is no retry.
     ///
     /// # Errors
     ///
-    /// See [`elide_restore_targeted_diag`]; additionally
-    /// [`ElideError::Transport`] when the app was launched without a
-    /// delegate route.
+    /// As for [`Self::restore`].
     pub fn restore_delegated(
         &mut self,
         restore_ecall_index: u64,
+        delegate: Box<dyn Transport + Send>,
         delegate_mrenclave: &[u8; 32],
     ) -> Result<RestoreStats, ElideError> {
-        use std::sync::atomic::Ordering;
-        self.delegation.store(true, Ordering::SeqCst);
-        let result = elide_restore_targeted_diag(
-            &mut self.runtime,
-            restore_ecall_index,
-            delegate_mrenclave,
-            &self.errors,
-        );
-        self.delegation.store(false, Ordering::SeqCst);
+        *lock(&self.delegate) = Some(delegate);
+        let result = self.attempt(restore_ecall_index, delegate_mrenclave);
+        *lock(&self.delegate) = None;
         result
+    }
+
+    /// One `elide_restore` ecall. A 32-byte `input` makes the guest attest
+    /// to that MRENCLAVE (a local delegate) instead of the quoting enclave.
+    fn attempt(
+        &mut self,
+        restore_ecall_index: u64,
+        input: &[u8],
+    ) -> Result<RestoreStats, ElideError> {
+        lock(&self.errors).take(); // a stale cause from an earlier attempt
+        let result = self.runtime.ecall(restore_ecall_index, input, 0);
+        let cause = lock(&self.errors).take();
+        match result {
+            Ok(r) if r.status == crate::elide_asm::restore_status::OK => {
+                Ok(RestoreStats { instructions: r.instructions })
+            }
+            Ok(r) => Err(cause.unwrap_or(ElideError::RestoreFailed { status: r.status })),
+            Err(e) => Err(cause.unwrap_or(e.into())),
+        }
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::delegation::DelegationBundle;
 use crate::elide_asm::request;
-use crate::error::{ElideError, ServerError};
+use crate::error::ElideError;
 use crate::meta::{SecretMeta, META_BODY_LEN};
 use crate::protocol::{decrypt_msg, Transport};
 use crate::ticket::RESUME_KDF_LABEL;
@@ -211,7 +211,7 @@ impl ProvisionClient {
     ///
     /// # Errors
     ///
-    /// [`ServerError::DelegationRejected`] passes through (no grant);
+    /// [`crate::error::ServerError::DelegationRejected`] passes through (no grant);
     /// a malformed bundle or a policy the origin key did not sign is
     /// [`ElideError::Transport`] — the wire or the server is lying.
     pub fn fetch_delegation(
@@ -227,69 +227,6 @@ impl ProvisionClient {
             return Err(ElideError::Transport("delegation policy signature invalid".into()));
         }
         Ok(bundle)
-    }
-
-    /// The fan-out launch path: provision from a local delegate when one
-    /// is offered, falling back to the origin's full handshake otherwise.
-    /// Returns the secret plus whether the delegate path was taken.
-    ///
-    /// The delegate leg sends `PEER_ATTEST` with a local-attestation
-    /// report (produced by `report_fn`, targeted at the delegate's
-    /// MRENCLAVE and binding this client's DH public value) and completes
-    /// with a single `PEER_RESTORE`. Any delegate-side rejection —
-    /// revocation, policy expiry, identity outside the policy, a report
-    /// that fails in-enclave verification, or a tampered sealed payload —
-    /// falls back to the origin; the failure never yields secret bytes.
-    ///
-    /// # Errors
-    ///
-    /// Errors from the fallback origin handshake or fetches propagate.
-    pub fn try_delegate(
-        &mut self,
-        delegate: Option<&mut dyn Transport>,
-        origin: &mut dyn Transport,
-        report_fn: &mut QuoteFn,
-        quote_fn: &mut QuoteFn,
-    ) -> Result<(ResumedSecret, bool), ElideError> {
-        if let Some(delegate) = delegate {
-            if let Ok(secret) = self.provision_via_delegate(delegate, report_fn) {
-                return Ok((secret, true));
-            }
-        }
-        self.full_handshake(origin, quote_fn)?;
-        let meta = self.fetch_meta(origin)?;
-        let data = if meta.is_local() { Vec::new() } else { self.fetch_data(origin)? };
-        Ok((ResumedSecret { meta, data }, false))
-    }
-
-    fn provision_via_delegate(
-        &mut self,
-        delegate: &mut dyn Transport,
-        report_fn: &mut QuoteFn,
-    ) -> Result<ResumedSecret, ElideError> {
-        let kp = DhKeyPair::generate(self.rng.as_mut());
-        let public = kp.public_bytes();
-        let mut report_data = [0u8; 64];
-        report_data[..32].copy_from_slice(&Sha256::digest(&public));
-        let report = report_fn(report_data)?;
-        let mut payload = Vec::with_capacity(report.len() + public.len());
-        payload.extend_from_slice(&report);
-        payload.extend_from_slice(&public);
-        let delegate_pub = delegate.request(request::PEER_ATTEST as u8, &payload)?;
-        let key = kp
-            .derive_session_key(&delegate_pub)
-            .ok_or_else(|| ElideError::Transport("bad delegate DH public value".into()))?;
-        let sealed = delegate.request(request::PEER_RESTORE as u8, &[])?;
-        let body = decrypt_msg(&key, &sealed)
-            .map_err(|_| ElideError::Server(ServerError::DelegationRejected))?;
-        if body.len() < META_BODY_LEN {
-            return Err(ElideError::Transport("short delegate restore response".into()));
-        }
-        let meta = SecretMeta::from_body(&body[..META_BODY_LEN])
-            .ok_or_else(|| ElideError::Transport("malformed secret metadata".into()))?;
-        let data = body[META_BODY_LEN..].to_vec();
-        self.key = Some(key);
-        Ok(ResumedSecret { meta, data })
     }
 
     /// The relaunch path: resume from the stored ticket if possible,

@@ -491,8 +491,8 @@ impl DelegateServer {
 }
 
 /// One peer's connection to a [`DelegateServer`]; implements [`Transport`]
-/// so the routed restore ocalls (and [`crate::client::ProvisionClient`])
-/// can speak to a delegate exactly like they speak to the origin.
+/// so a delegated restore ([`crate::api::LaunchedApp::restore_delegated`])
+/// can speak to a delegate exactly like it speaks to the origin.
 pub struct DelegatePeerTransport {
     server: Arc<DelegateServer>,
     session: Option<PeerSession>,
@@ -514,9 +514,9 @@ impl Transport for DelegatePeerTransport {
             return Err(ElideError::Transport("delegate offline".into()));
         }
         match req as u64 {
-            // PEER_ATTEST replaces HANDSHAKE on the delegate leg; accept
-            // both so the routed restore ocall can forward the guest's
-            // HANDSHAKE verbatim (its payload is already `[report][pub]`).
+            // PEER_ATTEST replaces HANDSHAKE on the delegate leg;
+            // HANDSHAKE is accepted too (the payload is `[report][pub]`
+            // either way).
             request::PEER_ATTEST | request::HANDSHAKE => {
                 let (server_pub, session) = self.server.peer_attest(payload)?;
                 self.session = Some(session);

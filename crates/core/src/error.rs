@@ -24,9 +24,9 @@ pub enum ElideError {
     Transport(String),
     /// A secret-store registration/loading failure.
     Store(String),
-    /// A warm start was requested but no sealed blob exists — the enclave
-    /// was never provisioned (or its sealed state was discarded); a cold
-    /// launch with a full attested handshake is required first.
+    /// A warm start found no usable sealed blob — the enclave was never
+    /// provisioned (or its sealed state was discarded or tampered with); a
+    /// cold launch with a full attested handshake is required first.
     NoSealedState,
 }
 

@@ -19,13 +19,16 @@
 //!   over TCP or an in-process channel), [`session`] (the per-connection
 //!   attested-handshake state machine), [`store`] (the MRENCLAVE-keyed
 //!   [`store::SecretStore`] so one server provisions many enclaves), and
-//!   [`service`] (a bounded worker pool with graceful shutdown).
+//!   [`service`] (sharded readiness-driven event loops with graceful
+//!   shutdown, plus the resident [`service::EnclavePool`]).
 //!   [`server`] holds the shared `AuthServer` state and [`protocol`] the
 //!   client transports plus channel crypto.
 //! * [`restore`] — the untrusted ocalls (`elide_server_request`,
-//!   `elide_read_file`, `elide_write_file`), the restore entry point, and
-//!   the client-side [`restore::RetryPolicy`].
-//! * [`api`] — one-call `protect` / `launch` / `restore` orchestration.
+//!   `elide_read_file`, `elide_write_file`) and the client-side
+//!   [`restore::RetryPolicy`].
+//! * [`api`] — one-call `protect` / `launch` / `restore` orchestration:
+//!   [`api::LaunchedApp`] installs the ocalls and is the one restore entry
+//!   point (`restore`, or `restore_delegated` through a local delegate).
 //! * [`delegation`] — peer-to-peer secret fan-out: a provisioned enclave
 //!   serves neighbor enclaves from a signed origin policy, so the origin
 //!   server is contacted once per host.

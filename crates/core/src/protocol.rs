@@ -244,18 +244,20 @@ impl Transport for InProcessTransport {
     }
 }
 
-/// A transport with no server behind it: every request fails.
+/// A transport with no server behind it: every request fails with
+/// [`ElideError::NoSealedState`].
 ///
-/// Warm starts restore from the sealed blob alone, so they wire the
-/// enclave against this — any attempt to reach the authentication server
-/// (i.e. the sealed fast path NOT being taken) fails loudly instead of
-/// silently re-running the DH+attestation round-trip.
+/// A warm start is a launch over this transport: it restores from the
+/// sealed blob alone, so any attempt to reach the authentication server
+/// (the sealed fast path NOT being taken, because there is no usable blob)
+/// fails loudly instead of silently re-running the DH+attestation
+/// round-trip.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct OfflineTransport;
 
 impl Transport for OfflineTransport {
     fn request(&mut self, _req: u8, _payload: &[u8]) -> Result<Vec<u8>, ElideError> {
-        Err(ElideError::Transport("offline warm start: no server available".into()))
+        Err(ElideError::NoSealedState)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The untrusted half of the Runtime Restorer: the `elide_server_request`,
 //! `elide_read_file` and `elide_write_file` ocalls (§3.4: "the ocalls are
-//! automatically called by our library"), plus the host-side helper that
-//! invokes the `elide_restore` ecall.
+//! automatically called by our library"), installed by
+//! [`crate::api::LaunchedApp::new`], plus the client-side retry policy.
 
 use crate::elide_asm::{request, OCALL_READ_FILE, OCALL_SERVER_REQUEST, OCALL_WRITE_FILE};
 use crate::error::ElideError;
@@ -9,8 +9,7 @@ use crate::protocol::Transport;
 use elide_enclave::runtime::EnclaveRuntime;
 use sgx_sim::quote::QuotingEnclave;
 use sgx_sim::report::Report;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Shared, persistent store for the sealed blob (stands in for the file the
 /// paper's step ❼ writes to disk; persists across enclave launches).
@@ -21,15 +20,18 @@ pub type SealedStore = Arc<Mutex<Option<Vec<u8>>>>;
 /// The ocall ABI can only hand the guest `-1`, which the guest folds into a
 /// coarse restore status — losing whether the failure was a timeout, an
 /// authentication rejection, or a server-side fault. The ocalls record the
-/// last host-side error here so [`elide_restore_diag`] can surface it.
-pub type ErrorSink = Arc<Mutex<Option<ElideError>>>;
+/// last host-side error here so a failed restore can surface it.
+pub(crate) type ErrorSink = Arc<Mutex<Option<ElideError>>>;
 
-fn record(sink: &ErrorSink, err: ElideError) {
-    *sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(err);
-}
+/// The delegate transport of the delegated restore in progress, if any.
+/// [`crate::api::LaunchedApp::restore_delegated`] fills it for one restore
+/// and empties it afterwards; every other restore finds it empty.
+pub(crate) type DelegateSlot = Arc<Mutex<Option<Box<dyn Transport + Send>>>>;
 
-fn take(sink: &ErrorSink) -> Option<ElideError> {
-    sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take()
+/// Locks `m`, ignoring poisoning: the guarded values stay consistent even
+/// if a holder panicked.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Creates an empty sealed store.
@@ -46,95 +48,32 @@ pub struct ElideFiles {
     pub sealed: SealedStore,
 }
 
-impl ElideFiles {
-    /// Files for remote mode: no local data, fresh sealed store.
-    pub fn remote() -> Self {
-        ElideFiles { data_file: None, sealed: new_sealed_store() }
-    }
-
-    /// Files for local mode.
-    pub fn local(data_file: Vec<u8>) -> Self {
-        ElideFiles { data_file: Some(data_file), sealed: new_sealed_store() }
-    }
-}
-
-/// Where a routed restore's server requests go: the origin authentication
-/// server, plus (optionally) a local delegate enclave's peer transport.
-#[derive(Clone)]
-pub struct RestoreRoute {
-    /// The origin server (always required — delegate failures fall back).
-    pub origin: Arc<Mutex<dyn Transport + Send>>,
-    /// A local delegate, spoken to with `PEER_ATTEST`-style payloads when
-    /// the delegation switch is armed.
-    pub delegate: Option<Arc<Mutex<dyn Transport + Send>>>,
-}
-
-impl std::fmt::Debug for RestoreRoute {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RestoreRoute").field("delegate", &self.delegate.is_some()).finish()
-    }
-}
-
-impl RestoreRoute {
-    /// A route with no delegate: every request goes to the origin.
-    pub fn origin_only(origin: Arc<Mutex<dyn Transport + Send>>) -> Self {
-        RestoreRoute { origin, delegate: None }
-    }
-}
-
-/// Arms/disarms delegated provisioning on a routed runtime: while armed
-/// (and a delegate is routed), the guest's `HANDSHAKE` ocall is forwarded
-/// to the delegate as a peer attestation instead of being quoted to the
-/// origin. [`crate::api::LaunchedApp::restore_delegated`] arms it around
-/// the targeted restore ecall.
-pub type DelegationSwitch = Arc<AtomicBool>;
-
-/// Installs the three SgxElide ocalls into an enclave runtime.
+/// Installs the three SgxElide ocalls into an enclave runtime and returns
+/// the runtime's [`ErrorSink`] and [`DelegateSlot`].
 ///
-/// The `elide_server_request` handler additionally converts the enclave's
+/// The `elide_server_request` handler converts the enclave's
 /// local-attestation report into a quote via the platform quoting enclave
-/// before forwarding the handshake — the host-side leg of remote
-/// attestation.
-///
-/// Returns an [`ErrorSink`] that captures the underlying host-side error
-/// whenever `elide_server_request` fails (the guest itself only sees `-1`).
-pub fn install_elide_ocalls(
-    rt: &mut EnclaveRuntime,
-    transport: Arc<Mutex<dyn Transport + Send>>,
-    qe: Arc<QuotingEnclave>,
-    files: ElideFiles,
-) -> ErrorSink {
-    install_elide_ocalls_routed(rt, RestoreRoute::origin_only(transport), qe, files).0
-}
-
-/// [`install_elide_ocalls`] with delegate routing.
-///
-/// While the returned [`DelegationSwitch`] is armed and the route has a
-/// delegate, the guest's `HANDSHAKE` — whose payload is the raw
+/// before forwarding the handshake to `origin` — the host-side leg of
+/// remote attestation. While the slot holds a delegate, every request goes
+/// to the delegate instead: the handshake payload is the raw
 /// `[report 160][dh_pub]`, with the report targeted at the *delegate's*
-/// MRENCLAVE by the targeted restore ecall — is forwarded to the delegate
-/// verbatim (such a report cannot be quoted: the quoting enclave refuses
-/// reports not targeted at itself). Follow-up requests of the same restore
-/// stay on the delegate. Disarmed, the classic quote-to-origin path runs
-/// unchanged, so one runtime can fall back without relaunching.
-pub fn install_elide_ocalls_routed(
+/// MRENCLAVE (such a report cannot be quoted: the quoting enclave refuses
+/// reports not targeted at itself), so it is forwarded verbatim as a
+/// `PEER_ATTEST`, and the follow-up requests belong to the delegate's
+/// channel. With the slot empty again, the same runtime falls back to the
+/// origin without relaunching.
+pub(crate) fn install_ocalls(
     rt: &mut EnclaveRuntime,
-    route: RestoreRoute,
+    origin: Arc<Mutex<dyn Transport + Send>>,
     qe: Arc<QuotingEnclave>,
     files: ElideFiles,
-) -> (ErrorSink, DelegationSwitch) {
+) -> (ErrorSink, DelegateSlot) {
     let sink: ErrorSink = Arc::new(Mutex::new(None));
-    let armed: DelegationSwitch = Arc::new(AtomicBool::new(false));
+    let slot: DelegateSlot = Arc::new(Mutex::new(None));
 
     // --- elide_server_request ---
-    let origin = Arc::clone(&route.origin);
-    let delegate = route.delegate.clone();
-    let armed_flag = Arc::clone(&armed);
+    let delegate = Arc::clone(&slot);
     let errors = Arc::clone(&sink);
-    // True between a delegate-served handshake and the next handshake (or
-    // a disarm): the guest's follow-up META/DATA belong to the delegate's
-    // channel, not the origin's.
-    let mut delegate_session = false;
     rt.register_ocall(
         OCALL_SERVER_REQUEST,
         Box::new(move |regs, mem| {
@@ -143,46 +82,32 @@ pub fn install_elide_ocalls_routed(
             let in_len = regs[3] as usize;
             let out_ptr = regs[4];
             let out_cap = regs[5] as usize;
-            let use_delegate = delegate.is_some() && armed_flag.load(Ordering::SeqCst);
-            if req as u64 == request::HANDSHAKE {
-                delegate_session = false;
-            }
             let result = (|| -> Result<Vec<u8>, ElideError> {
                 let payload = if in_len > 0 { mem.read(in_ptr, in_len)? } else { Vec::new() };
-                if req as u64 == request::HANDSHAKE {
-                    if payload.len() <= Report::SERIALIZED_LEN {
-                        return Err(ElideError::Transport("handshake payload too short".into()));
-                    }
-                    if use_delegate {
-                        // The report targets the delegate, not the quoting
-                        // enclave: forward it raw as a peer attestation.
-                        let delegate = delegate.as_ref().expect("use_delegate checked");
-                        let body = delegate
-                            .lock()
-                            .expect("delegate transport mutex")
-                            .request(request::PEER_ATTEST as u8, &payload)?;
-                        delegate_session = true;
-                        return Ok(body);
-                    }
-                    let report = Report::from_bytes(&payload[..Report::SERIALIZED_LEN])
-                        .ok_or_else(|| ElideError::Transport("bad report".into()))?;
-                    let quote = qe
-                        .quote(&report)
-                        .map_err(|e| ElideError::Transport(format!("quoting failed: {e}")))?;
-                    let quote_bytes = quote.to_bytes();
-                    let quote_len = u32::try_from(quote_bytes.len())
-                        .map_err(|_| ElideError::Transport("quote too large for frame".into()))?;
-                    let mut fwd = Vec::with_capacity(4 + quote_bytes.len() + payload.len() - 160);
-                    fwd.extend_from_slice(&quote_len.to_le_bytes());
-                    fwd.extend_from_slice(&quote_bytes);
-                    fwd.extend_from_slice(&payload[Report::SERIALIZED_LEN..]);
-                    origin.lock().expect("transport mutex").request(req, &fwd)
-                } else if delegate_session && use_delegate {
-                    let delegate = delegate.as_ref().expect("use_delegate checked");
-                    delegate.lock().expect("delegate transport mutex").request(req, &payload)
-                } else {
-                    origin.lock().expect("transport mutex").request(req, &payload)
+                let handshake = req as u64 == request::HANDSHAKE;
+                if handshake && payload.len() <= Report::SERIALIZED_LEN {
+                    return Err(ElideError::Transport("handshake payload too short".into()));
                 }
+                if let Some(delegate) = lock(&delegate).as_mut() {
+                    let req = if handshake { request::PEER_ATTEST as u8 } else { req };
+                    return delegate.request(req, &payload);
+                }
+                if !handshake {
+                    return origin.lock().expect("transport mutex").request(req, &payload);
+                }
+                let report = Report::from_bytes(&payload[..Report::SERIALIZED_LEN])
+                    .ok_or_else(|| ElideError::Transport("bad report".into()))?;
+                let quote = qe
+                    .quote(&report)
+                    .map_err(|e| ElideError::Transport(format!("quoting failed: {e}")))?;
+                let quote_bytes = quote.to_bytes();
+                let quote_len = u32::try_from(quote_bytes.len())
+                    .map_err(|_| ElideError::Transport("quote too large for frame".into()))?;
+                let mut fwd = Vec::with_capacity(4 + quote_bytes.len() + payload.len() - 160);
+                fwd.extend_from_slice(&quote_len.to_le_bytes());
+                fwd.extend_from_slice(&quote_bytes);
+                fwd.extend_from_slice(&payload[Report::SERIALIZED_LEN..]);
+                origin.lock().expect("transport mutex").request(req, &fwd)
             })();
             match result {
                 Ok(body) if body.len() <= out_cap => {
@@ -193,17 +118,14 @@ pub fn install_elide_ocalls_routed(
                 // own status codes (network errors are the developer's to
                 // handle, §3.4). The real error is kept for the host.
                 Ok(body) => {
-                    record(
-                        &errors,
-                        ElideError::Transport(format!(
-                            "server response of {} bytes exceeds the guest's {out_cap}-byte buffer",
-                            body.len()
-                        )),
-                    );
+                    *lock(&errors) = Some(ElideError::Transport(format!(
+                        "server response of {} bytes exceeds the guest's {out_cap}-byte buffer",
+                        body.len()
+                    )));
                     regs[0] = u64::MAX;
                 }
                 Err(e) => {
-                    record(&errors, e);
+                    *lock(&errors) = Some(e);
                     regs[0] = u64::MAX;
                 }
             }
@@ -251,7 +173,7 @@ pub fn install_elide_ocalls_routed(
         }),
     );
 
-    (sink, armed)
+    (sink, slot)
 }
 
 /// Statistics from one restoration.
@@ -295,88 +217,6 @@ impl RetryPolicy {
     }
 }
 
-/// Invokes the `elide_restore` ecall (the single call a developer adds,
-/// §3.4) and maps its status to an error.
-///
-/// # Errors
-///
-/// * [`ElideError::RestoreFailed`] — the enclave reported a failure status
-///   (see [`crate::elide_asm::restore_status`]).
-/// * [`ElideError::Enclave`] — the ecall itself faulted.
-pub fn elide_restore(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
-) -> Result<RestoreStats, ElideError> {
-    elide_restore_input(rt, restore_ecall_index, &[])
-}
-
-/// [`elide_restore`] with a 32-byte target MRENCLAVE as the ecall input:
-/// the guest attests to *that* enclave (a local delegate) instead of the
-/// quoting enclave, enabling delegated provisioning. With an empty input
-/// the guest takes the classic quoting-enclave path.
-///
-/// # Errors
-///
-/// See [`elide_restore`].
-pub fn elide_restore_targeted(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
-    target_mrenclave: &[u8; 32],
-) -> Result<RestoreStats, ElideError> {
-    elide_restore_input(rt, restore_ecall_index, target_mrenclave)
-}
-
-fn elide_restore_input(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
-    input: &[u8],
-) -> Result<RestoreStats, ElideError> {
-    let result = rt.ecall(restore_ecall_index, input, 0)?;
-    if result.status != crate::elide_asm::restore_status::OK {
-        return Err(ElideError::RestoreFailed { status: result.status });
-    }
-    Ok(RestoreStats { instructions: result.instructions })
-}
-
-/// [`elide_restore`], but when the restore status is a coarse failure code
-/// and the ocalls recorded the underlying host-side error in `sink`, that
-/// underlying error is returned instead of the bare status.
-///
-/// # Errors
-///
-/// See [`elide_restore`]; additionally surfaces recorded
-/// [`ElideError::Transport`] / [`ElideError::Server`] causes.
-pub fn elide_restore_diag(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
-    sink: &ErrorSink,
-) -> Result<RestoreStats, ElideError> {
-    let _ = take(sink); // clear stale errors from a previous attempt
-    match elide_restore(rt, restore_ecall_index) {
-        Ok(stats) => Ok(stats),
-        Err(status_err) => Err(take(sink).unwrap_or(status_err)),
-    }
-}
-
-/// [`elide_restore_targeted`] with the same error-sink upgrade as
-/// [`elide_restore_diag`].
-///
-/// # Errors
-///
-/// See [`elide_restore_diag`].
-pub fn elide_restore_targeted_diag(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
-    target_mrenclave: &[u8; 32],
-    sink: &ErrorSink,
-) -> Result<RestoreStats, ElideError> {
-    let _ = take(sink);
-    match elide_restore_targeted(rt, restore_ecall_index, target_mrenclave) {
-        Ok(stats) => Ok(stats),
-        Err(status_err) => Err(take(sink).unwrap_or(status_err)),
-    }
-}
-
 /// True when `err` is a failure a healthy server could later satisfy, so a
 /// client retry is worthwhile. Authentication rejections
 /// ([`ServerError::AttestationFailed`] / [`ServerError::WrongEnclave`] /
@@ -407,65 +247,4 @@ pub fn is_transient(err: &ElideError) -> bool {
         } => true,
         _ => false,
     }
-}
-
-fn restore_with_retry_inner(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
-    policy: &RetryPolicy,
-    sink: Option<&ErrorSink>,
-) -> Result<RestoreStats, ElideError> {
-    let attempt = |rt: &mut EnclaveRuntime| match sink {
-        Some(sink) => elide_restore_diag(rt, restore_ecall_index, sink),
-        None => elide_restore(rt, restore_ecall_index),
-    };
-    let mut last;
-    match attempt(rt) {
-        Ok(stats) => return Ok(stats),
-        Err(e) => last = e,
-    }
-    for delay in policy.delays() {
-        if !is_transient(&last) {
-            return Err(last);
-        }
-        std::thread::sleep(delay);
-        match attempt(rt) {
-            Ok(stats) => return Ok(stats),
-            Err(e) => last = e,
-        }
-    }
-    Err(last)
-}
-
-/// [`elide_restore`] with retries: transient failures (a server still
-/// starting, a dropped connection mid-handshake) surface as restore
-/// statuses, and each retry re-runs the full handshake after an
-/// exponential backoff. Non-transient errors (e.g. a bad server key or an
-/// attestation rejection) fail immediately; see [`is_transient`].
-///
-/// # Errors
-///
-/// The last error once retries are exhausted; see [`elide_restore`].
-pub fn elide_restore_with_retry(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
-    policy: &RetryPolicy,
-) -> Result<RestoreStats, ElideError> {
-    restore_with_retry_inner(rt, restore_ecall_index, policy, None)
-}
-
-/// [`elide_restore_with_retry`] with an [`ErrorSink`]: every attempt reads
-/// the recorded underlying error, so transience is judged on (and the final
-/// error reports) the real cause, not the guest's coarse status.
-///
-/// # Errors
-///
-/// The last *underlying* error once retries are exhausted.
-pub fn elide_restore_with_retry_diag(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
-    policy: &RetryPolicy,
-    sink: &ErrorSink,
-) -> Result<RestoreStats, ElideError> {
-    restore_with_retry_inner(rt, restore_ecall_index, policy, Some(sink))
 }

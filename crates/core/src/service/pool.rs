@@ -6,8 +6,9 @@
 //! machine packing hundreds of protected enclaves cannot keep them all
 //! resident, but tearing one down does not lose its provisioning — the
 //! sealed blob written at first restore (step ❼) survives, so bringing
-//! the enclave back is a [`ProtectedPackage::warm_start`] plus one sealed
-//! fast-path restore, never a new DH+attestation round-trip.
+//! the enclave back is a warm start — a [`ProtectedPackage::launch_planned`]
+//! over [`OfflineTransport`] plus one sealed fast-path restore — never a
+//! new DH+attestation round-trip.
 //!
 //! Eviction drops the entire runtime: EPC pages, marshal area, VM caches.
 //! What survives is exactly the sealed state — the blob in the entry's
@@ -18,8 +19,8 @@
 use crate::api::{LaunchedApp, Platform, ProtectedPackage};
 use crate::delegation::DelegateRegistry;
 use crate::error::ElideError;
-use crate::protocol::Transport;
-use crate::restore::{new_sealed_store, RestoreRoute, SealedStore};
+use crate::protocol::{OfflineTransport, Transport};
+use crate::restore::{new_sealed_store, SealedStore};
 use elide_crypto::rng::SeededRandom;
 use elide_enclave::loader::ImagePlan;
 use sgx_sim::budget::EpcBudget;
@@ -73,6 +74,37 @@ struct PoolEntry {
     launches: u64,
     resident: Option<LaunchedApp>,
     last_used: u64,
+}
+
+impl PoolEntry {
+    fn launch_seed(&self) -> u64 {
+        self.seed ^ (self.launches << 32)
+    }
+
+    /// Launches a fresh runtime against `transport` with a per-launch seed.
+    fn launch(
+        &mut self,
+        transport: Arc<Mutex<dyn Transport + Send>>,
+    ) -> Result<LaunchedApp, ElideError> {
+        self.launches += 1;
+        let seed = self.launch_seed();
+        self.package.launch_planned(
+            &self.plan,
+            &self.platform,
+            transport,
+            Arc::clone(&self.sealed),
+            seed,
+        )
+    }
+
+    /// Arms a `page_cap` budget on `app`, seeded from this launch.
+    fn arm_budget(&self, page_cap: Option<usize>, app: &mut LaunchedApp) -> Result<(), ElideError> {
+        if let Some(cap) = page_cap {
+            let mut rng = SeededRandom::new(self.launch_seed() ^ 0xB0D6E7);
+            app.runtime.set_epc_budget(EpcBudget::new(cap, &mut rng))?;
+        }
+        Ok(())
+    }
 }
 
 /// An LRU pool of provisioned enclaves; see the module docs.
@@ -170,7 +202,7 @@ impl EnclavePool {
             last_used: 0,
         };
         let mut app = self.cold_provision(&mut entry)?;
-        self.arm_budget(&mut entry, &mut app)?;
+        entry.arm_budget(self.config.page_cap, &mut app)?;
         entry.resident = Some(app);
         self.make_room(Some(id));
         self.clock += 1;
@@ -201,24 +233,12 @@ impl EnclavePool {
         } else {
             self.make_room(Some(id));
             let entry = self.entries.get_mut(id).expect("checked above");
-            entry.launches += 1;
-            let launch_seed = entry.seed ^ (entry.launches << 32);
-            let mut app = entry.package.warm_start(
-                &entry.plan,
-                &entry.platform,
-                Arc::clone(&entry.sealed),
-                launch_seed,
-            )?;
-            // (borrow of self.entries ends here; re-borrow below)
-            let page_cap = self.config.page_cap;
-            if let Some(cap) = page_cap {
-                let mut rng = SeededRandom::new(launch_seed ^ 0xB0D6E7);
-                app.runtime.set_epc_budget(EpcBudget::new(cap, &mut rng))?;
-            }
             // The sealed fast path needs no server; a restore that tries
-            // to reach one fails loudly via the OfflineTransport.
-            app.restore(self.entries[id].restore_idx)?;
-            self.entries.get_mut(id).expect("checked above").resident = Some(app);
+            // to reach one fails with `NoSealedState`.
+            let mut app = entry.launch(Arc::new(Mutex::new(OfflineTransport)))?;
+            entry.arm_budget(self.config.page_cap, &mut app)?;
+            app.restore(entry.restore_idx)?;
+            entry.resident = Some(app);
             self.stats.warm_starts += 1;
         }
         let entry = self.entries.get_mut(id).expect("checked above");
@@ -243,49 +263,21 @@ impl EnclavePool {
     /// the origin is never contacted; a failed delegated restore falls
     /// back to the origin on the same runtime.
     fn cold_provision(&mut self, entry: &mut PoolEntry) -> Result<LaunchedApp, ElideError> {
-        entry.launches += 1;
-        let launch_seed = entry.seed ^ (entry.launches << 32);
+        let mut app = entry.launch(Arc::clone(&entry.transport))?;
         let delegate = self.delegates.as_ref().and_then(|registry| {
             let mrsigner = entry.package.sigstruct.mrsigner().ok()?;
             registry.delegate_for(&entry.package.mrenclave, &mrsigner)
         });
         if let Some(delegate) = delegate {
-            let peer: Arc<Mutex<dyn Transport + Send>> = Arc::new(Mutex::new(delegate.connect()));
-            let route = RestoreRoute { origin: Arc::clone(&entry.transport), delegate: Some(peer) };
-            let mut app = entry.package.launch_routed(
-                &entry.plan,
-                &entry.platform,
-                route,
-                Arc::clone(&entry.sealed),
-                launch_seed,
-            )?;
             let target = delegate.policy().delegate_mrenclave;
-            if app.restore_delegated(entry.restore_idx, &target).is_ok() {
+            let peer = Box::new(delegate.connect());
+            if app.restore_delegated(entry.restore_idx, peer, &target).is_ok() {
                 self.stats.delegated_provisions += 1;
                 return Ok(app);
             }
-            // Delegate rejected or died mid-restore: same runtime, origin
-            // route (the switch is disarmed again), full handshake.
-            app.restore(entry.restore_idx)?;
-            return Ok(app);
         }
-        let mut app = entry.package.launch_planned(
-            &entry.plan,
-            &entry.platform,
-            Arc::clone(&entry.transport),
-            Arc::clone(&entry.sealed),
-            launch_seed,
-        )?;
         app.restore(entry.restore_idx)?;
         Ok(app)
-    }
-
-    fn arm_budget(&self, entry: &mut PoolEntry, app: &mut LaunchedApp) -> Result<(), ElideError> {
-        if let Some(cap) = self.config.page_cap {
-            let mut rng = SeededRandom::new(entry.seed ^ (entry.launches << 32) ^ 0xB0D6E7);
-            app.runtime.set_epc_budget(EpcBudget::new(cap, &mut rng))?;
-        }
-        Ok(())
     }
 
     /// Evicts LRU residents until there is room for one more (the entry

@@ -181,6 +181,101 @@ fn full_artifact_workflow() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// The runner may start before the server: `--retries` backs off on the
+/// connect and on the restore until the server comes up.
+#[test]
+fn run_started_before_the_server_retries_until_it_is_up() {
+    let dir = workdir("early");
+    fs::write(dir.join("guest.s"), GUEST).unwrap();
+    run("ev64-ld", &["--out", "enclave.so", "--elide", "--ecall", "get_magic", "guest.s"], &dir);
+    run(
+        "elide-sanitize",
+        &[
+            "enclave.so",
+            "--out",
+            "sanitized.so",
+            "--meta",
+            "enclave.secret.meta",
+            "--data",
+            "enclave.secret.data",
+        ],
+        &dir,
+    );
+    run(
+        "elide-sign",
+        &["sanitized.so", "--key", "vendor.key", "--out", "enclave.sig", "--gen-key"],
+        &dir,
+    );
+
+    let port = free_port();
+    let listen = format!("127.0.0.1:{port}");
+    let run_args = |retries: &'static str| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_elide-run"));
+        cmd.args([
+            "sanitized.so",
+            "--sig",
+            "enclave.sig",
+            "--platform",
+            "platform.bin",
+            "--server",
+            &listen,
+            "--restore-index",
+            "1",
+            "--ecall",
+            "0",
+            "--out-cap",
+            "0",
+            "--retries",
+            retries,
+            "--retry-delay-ms",
+            "100",
+        ])
+        .current_dir(&dir);
+        cmd
+    };
+    // Without retries and with nothing listening the run fails, leaving
+    // behind the platform file the server must share.
+    let out = run_args("0").output().expect("spawn");
+    assert!(!out.status.success(), "no server, no retries: {out:?}");
+    assert!(dir.join("platform.bin").exists());
+
+    let early = run_args("6")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let mut server = Command::new(env!("CARGO_BIN_EXE_elide-server"))
+        .args([
+            "--meta",
+            "enclave.secret.meta",
+            "--data",
+            "enclave.secret.data",
+            "--listen",
+            &listen,
+            "--platform",
+            "platform.bin",
+            "--connections",
+            "1",
+        ])
+        .current_dir(&dir)
+        .spawn()
+        .expect("server spawn");
+    let out = early.wait_with_output().expect("elide-run exits");
+    if !out.status.success() {
+        server.kill().ok();
+    }
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "elide-run failed:\nstdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains(&format!("status = {}", 0x1234)), "{stdout}");
+    server.wait().expect("server exits after its one connection");
+    fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn local_data_workflow() {
     let dir = workdir("local");

@@ -21,7 +21,7 @@ use sgxelide::core::faults::{
     silence_injected_panics, FaultConfig, FaultPlan, FaultyListener, FaultyWire, PPM,
 };
 use sgxelide::core::protocol::{FramedTransport, InProcessTransport, Transport};
-use sgxelide::core::restore::{new_sealed_store, RestoreRoute, RetryPolicy};
+use sgxelide::core::restore::{new_sealed_store, RetryPolicy};
 use sgxelide::core::sanitizer::DataPlacement;
 use sgxelide::core::server::AuthServer;
 use sgxelide::core::service::{serve, ServiceConfig, ServiceHandle};
@@ -261,7 +261,8 @@ fn run_schedule(
         initial_delay: Duration::from_millis(2),
         max_delay: Duration::from_millis(10),
     };
-    let outcome = match launched.restore_with_retry(cell.indices["elide_restore"], &policy) {
+    launched.retry = policy;
+    let outcome = match launched.restore(cell.indices["elide_restore"]) {
         Ok(stats) => {
             assert!(stats.instructions > 0, "seed {seed}: restore reported no work");
             assert!(
@@ -398,7 +399,8 @@ fn retry_budget_gives_up_with_the_underlying_error() {
         initial_delay: Duration::from_millis(1),
         max_delay: Duration::from_millis(2),
     };
-    let err = launched.restore_with_retry(cell.indices["elide_restore"], &policy).unwrap_err();
+    launched.retry = policy;
+    let err = launched.restore(cell.indices["elide_restore"]).unwrap_err();
     assert_eq!(
         err,
         ElideError::Transport("injected wire failure".into()),
@@ -426,7 +428,8 @@ fn authentication_failure_is_not_retried() {
         initial_delay: Duration::from_millis(1),
         max_delay: Duration::from_millis(2),
     };
-    let err = launched.restore_with_retry(cell.indices["elide_restore"], &policy).unwrap_err();
+    launched.retry = policy;
+    let err = launched.restore(cell.indices["elide_restore"]).unwrap_err();
     assert_eq!(err, ElideError::Server(ServerError::AttestationFailed));
     assert_eq!(
         attempts.load(Ordering::SeqCst),
@@ -452,7 +455,8 @@ fn store_io_faults_surface_as_internal_and_recover() {
         max_delay: Duration::from_millis(2),
     };
     let before = cell.server.handshakes();
-    let err = launched.restore_with_retry(cell.indices["elide_restore"], &policy).unwrap_err();
+    launched.retry = policy;
+    let err = launched.restore(cell.indices["elide_restore"]).unwrap_err();
     assert_eq!(
         err,
         ElideError::Server(ServerError::Internal),
@@ -947,29 +951,28 @@ impl DelegationHost {
         .expect("delegate stands up")
     }
 
-    /// Launches a peer routed at `delegate` through `wrap`, so schedules
-    /// can interpose chaos between the peer and the delegate.
+    /// Launches a peer against the origin and returns it with its
+    /// connection to `delegate` passed through `wrap`, so schedules can
+    /// interpose chaos between the peer and the delegate.
     fn launch_via_delegate(
         &self,
         delegate: &Arc<DelegateServer>,
         seed: u64,
         wrap: impl FnOnce(Box<dyn Transport + Send>) -> Box<dyn Transport + Send>,
-    ) -> sgxelide::core::api::LaunchedApp {
+    ) -> (sgxelide::core::api::LaunchedApp, Box<dyn Transport + Send>) {
         let package = self.package();
         let plan = package.image_plan().unwrap();
-        let peer: Arc<Mutex<dyn Transport + Send>> =
-            Arc::new(Mutex::new(BoxedTransport(wrap(Box::new(delegate.connect())))));
-        let route = RestoreRoute { origin: self.origin_transport(), delegate: Some(peer) };
-        package.launch_routed(&plan, &self.platform, route, new_sealed_store(), seed).unwrap()
-    }
-}
-
-/// Adapter so `Box<dyn Transport + Send>` itself satisfies [`Transport`].
-struct BoxedTransport(Box<dyn Transport + Send>);
-
-impl Transport for BoxedTransport {
-    fn request(&mut self, req: u8, payload: &[u8]) -> Result<Vec<u8>, ElideError> {
-        self.0.request(req, payload)
+        let peer = wrap(Box::new(delegate.connect()));
+        let app = package
+            .launch_planned(
+                &plan,
+                &self.platform,
+                self.origin_transport(),
+                new_sealed_store(),
+                seed,
+            )
+            .unwrap();
+        (app, peer)
     }
 }
 
@@ -987,8 +990,8 @@ fn revoked_delegate_fails_closed_and_origin_fallback_recovers() {
     let target = delegate.policy().delegate_mrenclave;
     delegate.revoke();
 
-    let mut app = host.launch_via_delegate(&delegate, 0xF1, |t| t);
-    let err = app.restore_delegated(DELEG_RESTORE_IDX, &target).unwrap_err();
+    let (mut app, peer) = host.launch_via_delegate(&delegate, 0xF1, |t| t);
+    let err = app.restore_delegated(DELEG_RESTORE_IDX, peer, &target).unwrap_err();
     assert!(
         matches!(
             err,
@@ -1050,10 +1053,10 @@ fn tampered_delegate_seal_stream_fails_closed() {
 
     let tampered = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&tampered);
-    let mut app = host.launch_via_delegate(&delegate, 0xF2, move |t| {
+    let (mut app, peer) = host.launch_via_delegate(&delegate, 0xF2, move |t| {
         Box::new(SealTamper { inner: t, tampered: counter })
     });
-    let err = app.restore_delegated(DELEG_RESTORE_IDX, &target).unwrap_err();
+    let err = app.restore_delegated(DELEG_RESTORE_IDX, peer, &target).unwrap_err();
     assert!(
         matches!(err, ElideError::RestoreFailed { .. } | ElideError::Server(_)),
         "tampered seal stream surfaced as an unexpected family: {err:?}"
@@ -1100,10 +1103,10 @@ fn delegate_evicted_mid_handshake_falls_back_to_origin() {
     let target = delegate.policy().delegate_mrenclave;
 
     let server = Arc::clone(&delegate);
-    let mut app = host.launch_via_delegate(&delegate, 0xF3, move |t| {
+    let (mut app, peer) = host.launch_via_delegate(&delegate, 0xF3, move |t| {
         Box::new(MidHandshakeEviction { inner: t, server, responses: 0 })
     });
-    let err = app.restore_delegated(DELEG_RESTORE_IDX, &target).unwrap_err();
+    let err = app.restore_delegated(DELEG_RESTORE_IDX, peer, &target).unwrap_err();
     assert!(
         matches!(err, ElideError::Transport(_) | ElideError::RestoreFailed { .. }),
         "mid-handshake eviction surfaced as an unexpected family: {err:?}"

@@ -29,6 +29,7 @@ use sgxelide::crypto::rsa::RsaKeyPair;
 use sgxelide::crypto::sha2::Sha256;
 use sgxelide::sgx::quote::{AttestationService, QE_MEASUREMENT};
 use sgxelide::sgx::report::{ereport, TargetInfo};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 const ANSWER_IDX: u64 = 0;
@@ -193,6 +194,49 @@ fn pool_without_delegate_grant_falls_back_to_origin() {
     assert_eq!(pool.stats().delegated_provisions, 0);
     assert_eq!(host.server.handshakes(), 1);
     let app = pool.checkout("solo").unwrap();
+    assert_eq!(app.runtime.ecall(ANSWER_IDX, &[], 0).unwrap().status, ANSWER);
+}
+
+/// Counts the requests a peer sends to its delegate.
+struct CountingTransport {
+    inner: Box<dyn Transport + Send>,
+    requests: Arc<AtomicU64>,
+}
+
+impl Transport for CountingTransport {
+    fn request(&mut self, req: u8, payload: &[u8]) -> Result<Vec<u8>, ElideError> {
+        self.requests.fetch_add(1, Ordering::SeqCst);
+        self.inner.request(req, payload)
+    }
+}
+
+/// A failed delegated restore leaves no delegate behind: the origin
+/// fallback on the same runtime sends the delegate nothing and runs a full
+/// handshake with the origin.
+#[test]
+fn failed_delegated_restore_leaves_no_delegate_armed() {
+    let host = host(0xD117_000D);
+    let delegate = host.stand_up_delegate(0xAD);
+    let target = delegate.policy().delegate_mrenclave;
+    delegate.revoke();
+
+    let requests = Arc::new(AtomicU64::new(0));
+    let peer =
+        CountingTransport { inner: Box::new(delegate.connect()), requests: Arc::clone(&requests) };
+    let mut app = host
+        .package()
+        .launch(&host.platform, host.origin_transport(), new_sealed_store(), 0xCD)
+        .unwrap();
+    let err = app.restore_delegated(RESTORE_IDX, Box::new(peer), &target).unwrap_err();
+    assert_eq!(err, ElideError::Server(ServerError::DelegationRejected));
+    let sent = requests.load(Ordering::SeqCst);
+    assert!(sent > 0, "the delegated restore must have reached the delegate");
+    assert!(app.runtime.ecall(ANSWER_IDX, &[], 0).is_err(), "rejected restore left code live");
+
+    let handshakes = host.server.handshakes();
+    app.restore(RESTORE_IDX).unwrap();
+    assert_eq!(requests.load(Ordering::SeqCst), sent, "the fallback reached the delegate");
+    assert_eq!(host.server.handshakes(), handshakes + 1, "the fallback must use the origin");
     assert_eq!(app.runtime.ecall(ANSWER_IDX, &[], 0).unwrap().status, ANSWER);
 }
 

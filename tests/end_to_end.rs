@@ -4,7 +4,7 @@
 
 use sgxelide::core::api::{protect, LaunchedApp, Mode, Platform};
 use sgxelide::core::elide_asm::{restore_status, ELIDE_ASM, RESTORE_CAP, SEAL_OVERHEAD};
-use sgxelide::core::protocol::{InProcessTransport, TcpTransport};
+use sgxelide::core::protocol::{InProcessTransport, OfflineTransport, TcpTransport};
 use sgxelide::core::restore::new_sealed_store;
 use sgxelide::core::sanitizer::{DataPlacement, MAX_TEXT_LEN};
 use sgxelide::core::service::{serve, ServiceConfig};
@@ -219,19 +219,14 @@ fn tampered_local_data_rejected() {
     let loaded =
         sgxelide::enclave::loader::load_enclave(&platform.cpu, &package.image, &package.sigstruct)
             .unwrap();
-    let mut rt = sgxelide::enclave::runtime::EnclaveRuntime::with_rng(
+    let rt = sgxelide::enclave::runtime::EnclaveRuntime::with_rng(
         loaded,
         Box::new(SeededRandom::new(8)),
     );
-    sgxelide::core::restore::install_elide_ocalls(
-        &mut rt,
-        transport,
-        Arc::clone(&platform.qe),
-        tampered,
-    );
-    let err = sgxelide::core::restore::elide_restore(&mut rt, ELIDE_RESTORE).unwrap_err();
+    let mut app = LaunchedApp::new(rt, transport, Arc::clone(&platform.qe), tampered);
+    let err = app.restore(ELIDE_RESTORE).unwrap_err();
     assert_eq!(err, ElideError::RestoreFailed { status: restore_status::DATA_AUTH_FAILED });
-    assert!(rt.ecall(GET_ANSWER, &[], 0).is_err(), "no partial restore on tamper");
+    assert!(app.runtime.ecall(GET_ANSWER, &[], 0).is_err(), "no partial restore on tamper");
 }
 
 #[test]
@@ -282,7 +277,8 @@ fn sealed_blob_header_is_authenticated() {
         assert_eq!(app.runtime.ecall(GET_ANSWER, &[], 0).unwrap().status, 42);
 
         let store = Arc::new(Mutex::new(Some(tampered)));
-        let mut app = package.warm_start(&plan, &platform, store, 22).unwrap();
+        let offline = Arc::new(Mutex::new(OfflineTransport));
+        let mut app = package.launch_planned(&plan, &platform, offline, store, 22).unwrap();
         assert!(app.restore(ELIDE_RESTORE).is_err(), "byte {at}: offline restore succeeded");
         assert!(app.runtime.ecall(GET_ANSWER, &[], 0).is_err(), "byte {at}");
         assert!(app.runtime.ecall(DOUBLE_INPUT, &21u64.to_le_bytes(), 0).is_err(), "byte {at}");
@@ -314,7 +310,9 @@ fn text_of_max_len_restores_on_both_paths() {
         assert_eq!(blob_len, MAX_TEXT_LEN + SEAL_OVERHEAD);
         assert!(RESTORE_CAP - blob_len < 8, "the seal fills the buffer to the instruction");
 
-        let mut warm = package.warm_start(&package.image_plan().unwrap(), &platform, sealed, 24);
+        let offline = Arc::new(Mutex::new(OfflineTransport));
+        let plan = package.image_plan().unwrap();
+        let mut warm = package.launch_planned(&plan, &platform, offline, sealed, 24);
         let warm = warm.as_mut().unwrap();
         warm.restore(ELIDE_RESTORE).unwrap();
         assert_eq!(enclave_text(warm, &original), original.1, "{placement:?}: sealed path");

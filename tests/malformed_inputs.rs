@@ -5,11 +5,11 @@
 //! length prefixes, pre-handshake garbage, mid-frame stalls — must make
 //! the service drop the connection without harming other clients.
 
-use sgxelide::core::api::{protect, Mode, Platform};
+use sgxelide::core::api::{protect, LaunchedApp, Mode, Platform};
 use sgxelide::core::elide_asm::{request, restore_status, ELIDE_ASM, RESTORE_CAP};
 use sgxelide::core::meta::SecretMeta;
 use sgxelide::core::protocol::{InProcessTransport, Transport};
-use sgxelide::core::restore::{elide_restore, install_elide_ocalls, new_sealed_store, ElideFiles};
+use sgxelide::core::restore::{new_sealed_store, ElideFiles};
 use sgxelide::core::sanitizer::DataPlacement;
 use sgxelide::core::server::{AuthServer, ExpectedIdentity};
 use sgxelide::core::ElideError;
@@ -140,11 +140,11 @@ where
     let expected = ExpectedIdentity { mrenclave: Some(package.mrenclave), mrsigner: None };
     let server = Arc::new(AuthServer::new(meta, data, expected, ias));
     let loaded = load_enclave(&platform.cpu, &package.image, &package.sigstruct).unwrap();
-    let mut rt = EnclaveRuntime::with_rng(loaded, Box::new(SeededRandom::new(seed ^ 3)));
+    let rt = EnclaveRuntime::with_rng(loaded, Box::new(SeededRandom::new(seed ^ 3)));
     let transport = Arc::new(Mutex::new(InProcessTransport::new(server)));
-    install_elide_ocalls(&mut rt, transport, Arc::clone(&platform.qe), files);
-    let result = elide_restore(&mut rt, 1).map(|_| ());
-    (result, rt.ecall(0, &[], 0).is_err())
+    let mut app = LaunchedApp::new(rt, transport, Arc::clone(&platform.qe), files);
+    let result = app.restore(1).map(|_| ());
+    (result, app.runtime.ecall(0, &[], 0).is_err())
 }
 
 const DATA_FAILED: Result<(), ElideError> =

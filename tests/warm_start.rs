@@ -6,7 +6,7 @@
 
 use sgxelide::core::api::{protect, Mode, Platform};
 use sgxelide::core::elide_asm::ELIDE_ASM;
-use sgxelide::core::protocol::InProcessTransport;
+use sgxelide::core::protocol::{InProcessTransport, OfflineTransport};
 use sgxelide::core::restore::new_sealed_store;
 use sgxelide::core::sanitizer::DataPlacement;
 use sgxelide::core::ElideError;
@@ -78,7 +78,9 @@ fn elided_warm_start_matches_cold_launch_on_both_engines() {
 
     // Warm start: offline relaunch from the sealed blob. Same MRENCLAVE,
     // bit-identical outputs on both engines, zero server contact.
-    let mut warm = package.warm_start(&plan, &platform, Arc::clone(&sealed), 8).unwrap();
+    let offline = Arc::new(Mutex::new(OfflineTransport));
+    let mut warm =
+        package.launch_planned(&plan, &platform, offline, Arc::clone(&sealed), 8).unwrap();
     warm.restore(ELIDE_RESTORE).unwrap();
     assert_eq!(warm.runtime.enclave().mrenclave(), cold_mrenclave);
     assert_eq!(outputs(&mut warm.runtime, Engine::Interp), cold_interp);
@@ -86,7 +88,9 @@ fn elided_warm_start_matches_cold_launch_on_both_engines() {
     assert_eq!(server.handshakes(), handshakes, "warm start must not contact the server");
 
     // And under a tight page budget the answers still cannot change.
-    let mut squeezed = package.warm_start(&plan, &platform, Arc::clone(&sealed), 9).unwrap();
+    let offline = Arc::new(Mutex::new(OfflineTransport));
+    let mut squeezed =
+        package.launch_planned(&plan, &platform, offline, Arc::clone(&sealed), 9).unwrap();
     let mut brng = SeededRandom::new(0xCA9);
     squeezed.runtime.set_epc_budget(EpcBudget::new(3, &mut brng)).unwrap();
     squeezed.restore(ELIDE_RESTORE).unwrap();
@@ -109,7 +113,10 @@ fn warm_start_without_sealed_state_is_a_typed_error() {
     let mut ias = AttestationService::new();
     let platform = Platform::provision(&mut rng, &mut ias);
     let plan = package.image_plan().unwrap();
-    let err = package.warm_start(&plan, &platform, new_sealed_store(), 1).unwrap_err();
+    let offline = Arc::new(Mutex::new(OfflineTransport));
+    let mut warm =
+        package.launch_planned(&plan, &platform, offline, new_sealed_store(), 1).unwrap();
+    let err = warm.restore(ELIDE_RESTORE).unwrap_err();
     assert!(matches!(err, ElideError::NoSealedState), "got {err:?}");
 }
 
