@@ -10,7 +10,7 @@
 //!
 //! Plain-main harness (`cargo bench --bench crypto_kernels`).
 
-use elide_bench::{write_kernel_json, KernelRecord};
+use elide_bench::{env_or, print_row, write_rows, Row};
 use elide_crypto::aes::{ctr_xor, Aes};
 use elide_crypto::dh::DhKeyPair;
 use elide_crypto::gcm::AesGcm;
@@ -37,36 +37,26 @@ fn time_kernel<F: FnMut()>(min_seconds: f64, mut f: F) -> (u64, f64) {
 }
 
 fn main() {
-    let mb: usize = std::env::var("ELIDE_BENCH_KERNEL_MB")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&m| m > 0)
-        .unwrap_or(1);
-    let min_seconds: f64 = std::env::var("ELIDE_BENCH_MIN_SECONDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s| s > 0.0)
-        .unwrap_or(0.25);
+    let mb: usize = env_or("ELIDE_BENCH_KERNEL_MB", 1);
+    let min_seconds: f64 = env_or("ELIDE_BENCH_MIN_SECONDS", 0.25);
     let size = mb << 20;
 
     let mut rng = SeededRandom::new(0xC4A57);
     let mut buf = vec![0u8; size];
     rng.fill(&mut buf);
 
-    let mut records: Vec<KernelRecord> = Vec::new();
+    let mut rows = Vec::new();
     println!("crypto_kernels (buffer={mb} MiB, min_seconds={min_seconds})");
-    println!("{:<22} {:>10} {:>12} {:>12} {:>12}", "kernel", "iters", "ms", "MB/s", "ops/s");
     let mut push = |name: &str, bytes: u64, iters: u64, seconds: f64| {
-        let rec = KernelRecord { name: name.to_string(), bytes, iters, seconds };
-        println!(
-            "{:<22} {:>10} {:>12.2} {:>12.2} {:>12.2}",
-            rec.name,
-            rec.iters,
-            rec.seconds * 1e3,
-            rec.mb_per_s(),
-            rec.ops_per_s()
-        );
-        records.push(rec);
+        let row = Row::new()
+            .str("kernel", name)
+            .int("bytes", bytes)
+            .int("iters", iters)
+            .num("seconds", seconds, 6)
+            .num("mb_per_s", (bytes * iters) as f64 / seconds / 1e6, 3)
+            .num("ops_per_s", iters as f64 / seconds, 3);
+        print_row(&row, rows.is_empty());
+        rows.push(row);
     };
 
     // --- AES-CTR: the bulk cipher under GCM.
@@ -183,6 +173,7 @@ fn main() {
     });
     push("dh_keygen", 0, iters, secs);
 
-    let path = write_kernel_json("crypto_kernels", &records).expect("write json");
+    let params = Row::new().int("kernel_mb", mb as u64).num("min_seconds", min_seconds, 3);
+    let path = write_rows("crypto_kernels", "mb_per_s", params, &rows).expect("write json");
     println!("\nwrote {}", path.display());
 }

@@ -13,49 +13,34 @@
 //!
 //! Plain-main harness (`cargo bench --bench delegation`).
 
-use elide_bench::{delegation_provisioning, write_delegation_json, DelegationRecord};
-
-fn print_rec(r: &DelegationRecord) {
-    println!(
-        "{:<10} {:>5} peers {:>4} reps {:>10} handshakes/rep {:>12.1}/s {:>10.3} ms/peer",
-        r.mode,
-        r.peers,
-        r.reps,
-        r.origin_handshakes,
-        r.provisions_per_s,
-        r.ms_per_peer()
-    );
-}
+use elide_bench::{delegation_provisioning, env_or, print_row, write_rows, Row};
 
 fn main() {
-    let reps: usize = std::env::var("ELIDE_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r > 0)
-        .unwrap_or(20);
+    let reps: usize = env_or("ELIDE_BENCH_REPS", 20);
 
     println!("delegation (reps={reps})");
-    let mut records = Vec::new();
+    let mut rows = Vec::new();
     for peers in [2usize, 4, 8] {
-        for rec in delegation_provisioning(peers, reps) {
-            print_rec(&rec);
-            if rec.mode == "delegated" {
+        for row in delegation_provisioning(peers, reps) {
+            print_row(&row, rows.is_empty());
+            let handshakes = row.number("origin_handshakes").expect("origin_handshakes");
+            if row.text("mode") == Some("delegated") {
                 assert_eq!(
-                    rec.origin_handshakes, 1,
-                    "{} peers: delegated mode must cost exactly one origin handshake",
-                    rec.peers
+                    handshakes, 1.0,
+                    "{peers} peers: delegated mode must cost exactly one origin handshake"
                 );
             } else {
                 assert_eq!(
-                    rec.origin_handshakes, peers as u64,
-                    "{} peers: central mode must cost one origin handshake per peer",
-                    rec.peers
+                    handshakes, peers as f64,
+                    "{peers} peers: central mode must cost one origin handshake per peer"
                 );
             }
-            records.push(rec);
+            rows.push(row);
         }
     }
 
-    let path = write_delegation_json("delegation", &records).expect("write json");
+    let params = Row::new().int("reps", reps as u64);
+    let path =
+        write_rows("delegation", "provisions_per_second", params, &rows).expect("write json");
     println!("\nwrote {}", path.display());
 }

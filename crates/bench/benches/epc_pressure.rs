@@ -18,30 +18,10 @@
 //!
 //! Plain-main harness (`cargo bench --bench epc_pressure`).
 
-use elide_bench::{epc_pressure_elide, epc_pressure_plain, write_pressure_json, PressureRecord};
-
-fn print_rec(r: &PressureRecord) {
-    println!(
-        "{:<8} {:>6} {:>4}x {:>6} {:>12.1} {:>12.1} {:>8.2}x {:>9.2} {:>9} {:>9}",
-        r.app,
-        r.build,
-        r.factor,
-        r.page_cap,
-        r.warm_per_s,
-        r.cold_per_s,
-        r.speedup(),
-        r.mips,
-        r.evictions,
-        r.reloads
-    );
-}
+use elide_bench::{env_or, epc_pressure_elide, epc_pressure_plain, print_row, write_rows, Row};
 
 fn main() {
-    let reps: usize = std::env::var("ELIDE_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r > 0)
-        .unwrap_or(30);
+    let reps: usize = env_or("ELIDE_BENCH_REPS", 30);
 
     let apps = {
         use elide_apps::*;
@@ -49,30 +29,26 @@ fn main() {
     };
 
     println!("epc_pressure (reps={reps})");
-    println!(
-        "{:<8} {:>6} {:>5} {:>6} {:>12} {:>12} {:>9} {:>9} {:>9} {:>9}",
-        "app", "build", "over", "cap", "warm/s", "cold/s", "speedup", "mips", "evict", "reload"
-    );
-
-    let mut records = Vec::new();
+    let mut rows = Vec::new();
     for app in &apps {
-        for rec in epc_pressure_plain(app, reps) {
-            print_rec(&rec);
-            records.push(rec);
-        }
-        for rec in epc_pressure_elide(app, reps) {
-            print_rec(&rec);
-            records.push(rec);
+        for row in epc_pressure_plain(app, reps).into_iter().chain(epc_pressure_elide(app, reps)) {
+            print_row(&row, rows.is_empty());
+            rows.push(row);
         }
     }
 
     // The headline claim: at 4x oversubscription a warm start (sealed
-    // fast path) must beat the cold full-handshake launch by >= 5x.
-    for r in records.iter().filter(|r| r.build == "elide" && r.factor == 4) {
-        let s = r.speedup();
-        assert!(s >= 5.0, "{}: warm-start speedup {s:.2}x < 5x at 4x oversubscription", r.app);
+    // fast-path) must beat the cold full-handshake launch by >= 5x.
+    for r in
+        rows.iter().filter(|r| r.text("build") == Some("elide") && r.number("factor") == Some(4.0))
+    {
+        let s = r.number("speedup").expect("speedup");
+        let app = r.text("app").expect("app");
+        assert!(s >= 5.0, "{app}: warm-start speedup {s:.2}x < 5x at 4x oversubscription");
     }
 
-    let path = write_pressure_json("epc_pressure", &records).expect("write json");
+    let params = Row::new().int("reps", reps as u64);
+    let path =
+        write_rows("epc_pressure", "relaunches_per_second", params, &rows).expect("write json");
     println!("\nwrote {}", path.display());
 }

@@ -22,56 +22,32 @@
 //! Plain-main harness (`cargo bench --bench exec_throughput`).
 
 use elide_apps::harness::{launch_plain, launch_protected};
-use elide_apps::run_workload;
-use elide_bench::{write_bench_json, BenchRecord};
+use elide_bench::{best_of, env_or, print_row, write_rows, Row};
 use elide_core::sanitizer::DataPlacement;
 use elide_enclave::EnclaveRuntime;
 use elide_vm::interp::Engine;
 use std::collections::HashMap;
-use std::time::Instant;
 
-/// Times `reps` workload repetitions and returns the record built from the
-/// fastest one (instructions are identical across reps by construction).
-fn time_workload(
-    name: &'static str,
-    build: &'static str,
+/// Times `reps` workload repetitions and returns the row built from the
+/// fastest one.
+fn exec_row(
+    name: &str,
+    build: &str,
     rt: &mut EnclaveRuntime,
     indices: &HashMap<String, u64>,
     reps: usize,
-) -> BenchRecord {
-    run_workload(name, rt, indices); // warmup
-    let mut best = f64::INFINITY;
-    let mut instructions = 0;
-    for _ in 0..reps {
-        let base = rt.retired_total();
-        let t0 = Instant::now();
-        run_workload(name, rt, indices);
-        let seconds = t0.elapsed().as_secs_f64();
-        instructions = rt.retired_total() - base;
-        if seconds < best {
-            best = seconds;
-        }
-    }
-    BenchRecord { name: name.to_string(), build, instructions, seconds: best }
-}
-
-fn print_rec(rec: &BenchRecord) {
-    println!(
-        "{:<14} {:>8} {:>14} {:>10.2} {:>10.2}",
-        rec.name,
-        rec.build,
-        rec.instructions,
-        rec.seconds * 1e3,
-        rec.mips()
-    );
+) -> Row {
+    let (seconds, instructions) = best_of(name, rt, indices, reps);
+    Row::new()
+        .str("app", name)
+        .str("build", build)
+        .int("instructions", instructions)
+        .num("seconds", seconds, 6)
+        .num("mips", instructions as f64 / seconds / 1e6, 3)
 }
 
 fn main() {
-    let reps: usize = std::env::var("ELIDE_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r > 0)
-        .unwrap_or(30);
+    let reps: usize = env_or("ELIDE_BENCH_REPS", 30);
 
     // The crypto kernels: tight arithmetic loops over enclave data, where
     // fetch/decode/dispatch dominates an interpreter's runtime — plus the
@@ -89,30 +65,27 @@ fn main() {
         ]
     };
 
-    let mut records = Vec::new();
+    let mut rows = Vec::new();
     println!("exec_throughput (reps={reps}, best-of-rep)");
-    println!("{:<14} {:>8} {:>14} {:>10} {:>10}", "app", "build", "instructions", "ms", "mips");
+    let mut record = |row: Row| {
+        print_row(&row, rows.is_empty());
+        rows.push(row);
+    };
 
     for app in &apps {
         // Plain build, interpreter engine: the pre-translation baseline.
         let mut p = launch_plain(app, 42).expect("launch");
         p.runtime.set_engine(Engine::Interp);
-        let rec = time_workload(app.name, "interp", &mut p.runtime, &p.indices, reps);
-        print_rec(&rec);
-        records.push(rec);
+        record(exec_row(app.name, "interp", &mut p.runtime, &p.indices, reps));
 
         // Same build and enclave, superblock engine.
         p.runtime.set_engine(Engine::Superblock);
-        let rec = time_workload(app.name, "plain", &mut p.runtime, &p.indices, reps);
-        print_rec(&rec);
-        records.push(rec);
+        record(exec_row(app.name, "plain", &mut p.runtime, &p.indices, reps));
 
         // SgxElide build: launch + restore untimed, same timed region.
         let mut p = launch_protected(app, DataPlacement::Remote, 42).expect("launch");
         p.restore().expect("restore");
-        let rec = time_workload(app.name, "elide", &mut p.app.runtime, &p.indices, reps);
-        print_rec(&rec);
-        records.push(rec);
+        record(exec_row(app.name, "elide", &mut p.app.runtime, &p.indices, reps));
     }
 
     // Intrinsic-off ("soft") rows for the bulk-intrinsic apps: same
@@ -127,12 +100,12 @@ fn main() {
         for (build, name) in variants {
             let soft = build(false);
             let mut p = launch_plain(&soft, 42).expect("launch");
-            let rec = time_workload(name, "soft", &mut p.runtime, &p.indices, reps);
-            print_rec(&rec);
-            records.push(rec);
+            record(exec_row(name, "soft", &mut p.runtime, &p.indices, reps));
         }
     }
 
-    let path = write_bench_json("exec_throughput", &records).expect("write json");
+    let params = Row::new().int("reps", reps as u64);
+    let path = write_rows("exec_throughput", "instructions_per_second", params, &rows)
+        .expect("write json");
     println!("\nwrote {}", path.display());
 }

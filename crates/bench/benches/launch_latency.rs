@@ -13,41 +13,36 @@
 //!
 //! Plain-main harness (`cargo bench --bench launch_latency`).
 
-use elide_bench::{prepare_elide, prepare_plain, time_runs, write_latency_json, LatencyRecord};
+use elide_bench::{
+    env_or, prepare_elide, prepare_plain, print_row, stats, time_runs, write_rows, Row,
+};
 use elide_core::sanitizer::DataPlacement;
 
 fn main() {
-    let runs: usize = std::env::var("ELIDE_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r > 0)
-        .unwrap_or(20);
+    let runs: usize = env_or("ELIDE_BENCH_REPS", 20);
 
     let apps = {
         use elide_apps::*;
         vec![aes_app::app(), sha1_app::app(), crackme::app()]
     };
 
-    let mut records: Vec<LatencyRecord> = Vec::new();
+    let mut rows = Vec::new();
     println!("launch_latency (runs={runs})");
-    println!(
-        "{:<14} {:>8} {:>12} {:>12} {:>12} {:>12}",
-        "app", "build", "mean_ms", "std_ms", "min_ms", "max_ms"
-    );
-    let mut push = |rec: LatencyRecord| {
-        let s = rec.stats();
-        println!(
-            "{:<14} {:>8} {:>12.3} {:>12.3} {:>12.3} {:>12.3}",
-            rec.name,
-            rec.build,
-            s.mean_ms,
-            s.std_ms,
-            rec.min_ms(),
-            rec.max_ms()
-        );
-        records.push(rec);
+    let mut push = |app: &str, build: &str, samples: Vec<f64>| {
+        let s = stats(&samples);
+        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = samples.iter().copied().fold(0.0, f64::max);
+        let row = Row::new()
+            .str("app", app)
+            .str("build", build)
+            .int("runs", samples.len() as u64)
+            .num("mean_ms", s.mean_ms, 3)
+            .num("std_ms", s.std_ms, 3)
+            .num("min_ms", min * 1e3, 3)
+            .num("max_ms", max * 1e3, 3);
+        print_row(&row, rows.is_empty());
+        rows.push(row);
     };
-
     for app in &apps {
         // Plain: load + EEXTEND measurement + EINIT, zero workload reps.
         let plain = prepare_plain(app);
@@ -57,7 +52,7 @@ fn main() {
             std::hint::black_box(plain.run_seconds(seed, 0));
             seed += 1;
         });
-        push(LatencyRecord { name: app.name.to_string(), build: "plain", runs, samples });
+        push(app.name, "plain", samples);
 
         // Elide: load + EINIT + full provisioning handshake + restore.
         let elide = prepare_elide(app, DataPlacement::Remote);
@@ -67,9 +62,10 @@ fn main() {
             std::hint::black_box(elide.run_seconds(seed, 0));
             seed += 1;
         });
-        push(LatencyRecord { name: app.name.to_string(), build: "elide", runs, samples });
+        push(app.name, "elide", samples);
     }
 
-    let path = write_latency_json("launch_latency", &records).expect("write json");
+    let params = Row::new().int("runs", runs as u64);
+    let path = write_rows("launch_latency", "ms", params, &rows).expect("write json");
     println!("\nwrote {}", path.display());
 }

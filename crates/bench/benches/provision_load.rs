@@ -18,12 +18,13 @@
 //! * `ELIDE_LOAD_RATES`    — comma-separated arrival rates/s (default `25,50,100`)
 //! * `ELIDE_LOAD_REQUESTS` — arrivals per rate per mode (default `150`)
 //! * `ELIDE_LOAD_HOLD`     — concurrent connections in the hold phase (default `1000`)
-//! * `ELIDE_LOAD_HOLD_P99_BUDGET_MS` — hold-phase p99 ceiling (default `60000`);
-//!   the run aborts if the tail handshake exceeds it or any request errors
+//!
+//! The run aborts if any request errors or the hold phase's p99 exceeds
+//! [`HOLD_P99_BUDGET_MS`].
 //!
 //! Plain-main harness (`cargo bench --bench provision_load`).
 
-use elide_bench::{write_load_json, LoadRecord};
+use elide_bench::{env_or, percentile, print_row, write_rows, Row};
 use elide_core::api::Platform;
 use elide_core::client::ProvisionClient;
 use elide_core::error::ElideError;
@@ -45,6 +46,34 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 const PAYLOAD_LEN: usize = 4096;
+
+/// Hold-phase p99 ceiling. Deliberately loose: it exists to catch a
+/// deadlocked shard or an accept/readiness livelock, not to benchmark the
+/// runner.
+const HOLD_P99_BUDGET_MS: f64 = 60_000.0;
+
+/// One result row: the latency distribution of `samples` (seconds) plus
+/// the run's shape.
+fn load_row(
+    mode: &str,
+    rate_per_s: f64,
+    errors: usize,
+    concurrent: usize,
+    mut samples: Vec<f64>,
+) -> Row {
+    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let ms = |q: f64| percentile(&samples, q) * 1e3;
+    Row::new()
+        .str("mode", mode)
+        .num("rate_per_s", rate_per_s, 1)
+        .int("requests", samples.len() as u64)
+        .int("errors", errors as u64)
+        .int("concurrent", concurrent as u64)
+        .num("p50_ms", ms(0.50), 3)
+        .num("p99_ms", ms(0.99), 3)
+        .num("p999_ms", ms(0.999), 3)
+        .num("max_ms", samples.last().map_or(0.0, |s| s * 1e3), 3)
+}
 
 /// Everything a client thread needs to attest and fetch.
 struct Ctx {
@@ -117,7 +146,7 @@ fn run_rate(
     requests: usize,
     ctx: &Arc<Ctx>,
     clients: Option<Vec<ProvisionClient>>,
-) -> LoadRecord {
+) -> Row {
     let gauge = Arc::new(Gauge::new());
     let t0 = Instant::now() + Duration::from_millis(50); // let threads spawn
     let mut clients = clients.map(|v| v.into_iter());
@@ -147,19 +176,12 @@ fn run_rate(
         samples.push(latency);
         errors += usize::from(failed);
     }
-    LoadRecord {
-        mode,
-        rate_per_s: rate,
-        requests,
-        errors,
-        concurrent: gauge.peak.load(Ordering::Relaxed),
-        samples,
-    }
+    load_row(mode, rate, errors, gauge.peak.load(Ordering::Relaxed), samples)
 }
 
 /// Hold phase: `count` clients connect, wait until *all* are connected,
 /// then each runs a full handshake while every connection stays open.
-fn run_hold(count: usize, ctx: &Arc<Ctx>) -> LoadRecord {
+fn run_hold(count: usize, ctx: &Arc<Ctx>) -> Row {
     let barrier = Arc::new(Barrier::new(count));
     let threads: Vec<_> = (0..count)
         .map(|_| {
@@ -187,18 +209,7 @@ fn run_hold(count: usize, ctx: &Arc<Ctx>) -> LoadRecord {
         samples.push(latency);
         errors += usize::from(failed);
     }
-    LoadRecord {
-        mode: "hold",
-        rate_per_s: 0.0,
-        requests: count,
-        errors,
-        concurrent: count,
-        samples,
-    }
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(default)
+    load_row("hold", 0.0, errors, count, samples)
 }
 
 fn main() {
@@ -208,8 +219,8 @@ fn main() {
         .filter_map(|s| s.trim().parse().ok())
         .filter(|&r: &f64| r > 0.0)
         .collect();
-    let requests = env_usize("ELIDE_LOAD_REQUESTS", 150);
-    let hold = env_usize("ELIDE_LOAD_HOLD", 1000);
+    let requests: usize = env_or("ELIDE_LOAD_REQUESTS", 150);
+    let hold: usize = env_or("ELIDE_LOAD_HOLD", 1000);
 
     // --- stand the plane up once -------------------------------------
     let mut rng = SeededRandom::new(0x10AD);
@@ -261,25 +272,10 @@ fn main() {
     let ctx = Arc::new(Ctx { platform, enclave, addr, limits });
 
     println!("provision_load (rates={rates:?}, requests={requests}, hold={hold})");
-    println!(
-        "{:<10} {:>8} {:>8} {:>6} {:>10} {:>10} {:>10} {:>10}",
-        "mode", "rate/s", "reqs", "errs", "p50_ms", "p99_ms", "p999_ms", "max_ms"
-    );
-    let mut records: Vec<LoadRecord> = Vec::new();
-    let mut push = |rec: LoadRecord| {
-        let (p50, p99, p999) = rec.percentiles_ms();
-        println!(
-            "{:<10} {:>8.1} {:>8} {:>6} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
-            rec.mode,
-            rec.rate_per_s,
-            rec.requests,
-            rec.errors,
-            p50,
-            p99,
-            p999,
-            rec.max_ms()
-        );
-        records.push(rec);
+    let mut rows = Vec::new();
+    let mut push = |row: Row| {
+        print_row(&row, rows.is_empty());
+        rows.push(row);
     };
 
     for &rate in &rates {
@@ -305,21 +301,22 @@ fn main() {
     // Hold-mode baseline: with every connection open at once the tail
     // handshake queues behind all the others, so its latency is the
     // plane's worst case — bound the p99 by an explicit budget (and the
-    // global errors==0 check below covers the hold phase too). The budget
-    // is deliberately loose: it exists to catch a deadlocked shard or an
-    // accept/readiness livelock, not to benchmark the runner.
-    let hold_rec = records.last().expect("hold record");
-    assert_eq!(hold_rec.errors, 0, "hold mode must complete every handshake");
-    let (_, hold_p99_ms, _) = hold_rec.percentiles_ms();
-    let p99_budget_ms = env_usize("ELIDE_LOAD_HOLD_P99_BUDGET_MS", 60_000) as f64;
+    // global errors==0 check below covers the hold phase too).
+    let hold_row = rows.last().expect("hold row");
+    assert_eq!(hold_row.number("errors"), Some(0.0), "hold mode must complete every handshake");
+    let hold_p99_ms = hold_row.number("p99_ms").expect("p99_ms");
     assert!(
-        hold_p99_ms <= p99_budget_ms,
-        "hold-mode p99 {hold_p99_ms:.1} ms blew the {p99_budget_ms:.0} ms budget \
+        hold_p99_ms <= HOLD_P99_BUDGET_MS,
+        "hold-mode p99 {hold_p99_ms:.1} ms blew the {HOLD_P99_BUDGET_MS:.0} ms budget \
          at {hold} held connections"
     );
 
-    let total_errors: usize = records.iter().map(|r| r.errors).sum();
-    let path = write_load_json("provision_load", &records).expect("write json");
+    let total_errors: f64 = rows.iter().filter_map(|r| r.number("errors")).sum();
+    let params = Row::new()
+        .str("rates", rates.iter().map(f64::to_string).collect::<Vec<_>>().join(","))
+        .int("requests", requests as u64)
+        .int("hold", hold as u64);
+    let path = write_rows("provision_load", "ms", params, &rows).expect("write json");
     println!("\nwrote {}", path.display());
     println!(
         "served {} handshakes, {} resumptions, {} errors",
@@ -328,5 +325,5 @@ fn main() {
         total_errors
     );
     handle.shutdown();
-    assert_eq!(total_errors, 0, "a healthy provisioning plane drops nothing");
+    assert_eq!(total_errors, 0.0, "a healthy provisioning plane drops nothing");
 }

@@ -1,0 +1,16 @@
+//! Records the compiler version for the provenance header of every bench
+//! file.
+
+#![forbid(unsafe_code)]
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = std::process::Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |s| s.trim().to_string());
+    println!("cargo:rustc-env=ELIDE_BENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}

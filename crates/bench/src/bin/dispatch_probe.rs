@@ -41,8 +41,7 @@ fn run(name: &str, engine: Engine, instrs: &[Instr], iters: u64) {
 
 fn main() {
     use Opcode::*;
-    let iters: u64 =
-        std::env::var("PROBE_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(2_000_000);
+    let iters: u64 = elide_bench::env_or("PROBE_ITERS", 2_000_000);
 
     // Pure ALU: 8 dependent-ish ALU ops + loop control per iteration.
     let alu = vec![

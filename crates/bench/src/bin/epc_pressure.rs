@@ -4,8 +4,8 @@
 //! suitable for smoke jobs on noisy shared runners:
 //!
 //! * the warm sealed-restore path must beat the cold full-handshake launch
-//!   at every oversubscription factor (`ELIDE_PRESSURE_MIN_SPEEDUP`,
-//!   default 2.0, sets the floor; the committed-number bench asserts 5x);
+//!   at every oversubscription factor by [`MIN_SPEEDUP`] (the
+//!   committed-number bench asserts 5x at 4x);
 //! * eviction/reload counters must be zero at 1x and nonzero at 16x (the
 //!   budget is actually exercising the EWB/ELDU cycle);
 //! * throughput must stay finite and nonzero under thrash.
@@ -13,61 +13,41 @@
 //! Does NOT write `BENCH_epc_pressure.json` — committed numbers come from
 //! the full bench (`cargo bench --bench epc_pressure`).
 
-use elide_bench::epc_pressure_elide;
+use elide_bench::{env_or, epc_pressure_elide, print_row};
+
+/// Floor on the warm-over-cold relaunch speedup at every factor.
+const MIN_SPEEDUP: f64 = 2.0;
 
 fn main() {
-    let reps: usize = std::env::var("ELIDE_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r > 0)
-        .unwrap_or(5);
-    let min_speedup: f64 = std::env::var("ELIDE_PRESSURE_MIN_SPEEDUP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
+    let reps: usize = env_or("ELIDE_BENCH_REPS", 5);
 
     let app = elide_apps::sha1_app::app();
-    let records = epc_pressure_elide(&app, reps);
+    let rows = epc_pressure_elide(&app, reps);
     let mut failures = Vec::new();
 
-    for r in &records {
-        println!(
-            "{} elide {}x: cap={} warm/s={:.1} cold/s={:.1} speedup={:.2}x mips={:.2} \
-             evictions={} reloads={}",
-            r.app,
-            r.factor,
-            r.page_cap,
-            r.warm_per_s,
-            r.cold_per_s,
-            r.speedup(),
-            r.mips,
-            r.evictions,
-            r.reloads
-        );
-        if r.speedup() < min_speedup {
+    for (i, r) in rows.iter().enumerate() {
+        print_row(r, i == 0);
+        let [factor, speedup, mips, evictions, reloads] =
+            ["factor", "speedup", "mips", "evictions", "reloads"].map(|k| r.number(k).expect(k));
+        let app = r.text("app").expect("app");
+        if speedup < MIN_SPEEDUP {
+            failures.push(format!("{app} @{factor}x: warm speedup {speedup:.2}x < {MIN_SPEEDUP}x"));
+        }
+        if !(mips.is_finite() && mips > 0.0) {
+            failures.push(format!("{app} @{factor}x: bogus mips {mips}"));
+        }
+        if factor == 1.0 && (evictions != 0.0 || reloads != 0.0) {
             failures.push(format!(
-                "{} @{}x: warm speedup {:.2}x < {min_speedup}x",
-                r.app,
-                r.factor,
-                r.speedup()
+                "{app} @1x: unexpected paging (evictions={evictions} reloads={reloads})"
             ));
         }
-        if !(r.mips.is_finite() && r.mips > 0.0) {
-            failures.push(format!("{} @{}x: bogus mips {}", r.app, r.factor, r.mips));
-        }
-        if r.factor == 1 && (r.evictions != 0 || r.reloads != 0) {
-            failures.push(format!(
-                "{} @1x: unexpected paging (evictions={} reloads={})",
-                r.app, r.evictions, r.reloads
-            ));
-        }
-        if r.factor == 16 && r.reloads == 0 {
-            failures.push(format!("{} @16x: budget never paged", r.app));
+        if factor == 16.0 && reloads == 0.0 {
+            failures.push(format!("{app} @16x: budget never paged"));
         }
     }
 
     if failures.is_empty() {
-        println!("epc_pressure gate OK ({} configs, floor {min_speedup}x)", records.len());
+        println!("epc_pressure gate OK ({} configs, floor {MIN_SPEEDUP}x)", rows.len());
     } else {
         for f in &failures {
             eprintln!("FAIL: {f}");

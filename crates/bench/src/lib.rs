@@ -1,9 +1,13 @@
 //! # elide-bench
 //!
 //! Measurement helpers shared by the paper-table binaries (`table1`,
-//! `table2`, `figures`) and the Criterion benches. Each table/figure of the
-//! SgxElide paper maps to one entry point here; see `EXPERIMENTS.md` at the
-//! repository root for the index.
+//! `table2`, `figures`), the plain-main benches and the CI gates. Each
+//! table/figure of the SgxElide paper maps to one entry point here; see
+//! `EXPERIMENTS.md` at the repository root for the index.
+//!
+//! Every tracked `BENCH_*.json` is one [`Row`] schema: [`write_rows`]
+//! writes a provenance header and the result rows, [`read_rows`] reads
+//! them back.
 
 #![forbid(unsafe_code)]
 use elide_apps::harness::{launch_protected, App};
@@ -12,6 +16,9 @@ use elide_core::sanitizer::{sanitize, DataPlacement};
 use elide_core::whitelist::Whitelist;
 use elide_crypto::rng::SeededRandom;
 use elide_elf::ElfFile;
+use elide_enclave::runtime::EnclaveRuntime;
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Mean and standard deviation of a sample, in milliseconds.
@@ -124,7 +131,7 @@ pub struct PreparedPlain {
     image: Vec<u8>,
     sigstruct: sgx_sim::sigstruct::SigStruct,
     cpu: sgx_sim::SgxCpu,
-    indices: std::collections::HashMap<String, u64>,
+    indices: HashMap<String, u64>,
 }
 
 /// Builds and signs the plain configuration once.
@@ -152,10 +159,7 @@ impl PreparedPlain {
         let t0 = Instant::now();
         let loaded = elide_enclave::loader::load_enclave(&self.cpu, &self.image, &self.sigstruct)
             .expect("load");
-        let mut rt = elide_enclave::runtime::EnclaveRuntime::with_rng(
-            loaded,
-            Box::new(SeededRandom::new(seed)),
-        );
+        let mut rt = EnclaveRuntime::with_rng(loaded, Box::new(SeededRandom::new(seed)));
         for _ in 0..reps {
             std::hint::black_box(run_workload(self.app.name, &mut rt, &self.indices));
         }
@@ -171,7 +175,7 @@ pub struct PreparedElide {
     package: elide_core::api::ProtectedPackage,
     platform: elide_core::api::Platform,
     server: std::sync::Arc<elide_core::server::AuthServer>,
-    indices: std::collections::HashMap<String, u64>,
+    indices: HashMap<String, u64>,
 }
 
 /// Builds, protects, and stands up the server once.
@@ -226,336 +230,363 @@ pub fn figure_apps() -> Vec<App> {
     vec![aes_app::app(), des_app::app(), sha1_app::app(), shas_app::app(), crackme::app()]
 }
 
-/// One measured configuration of a throughput bench: how many guest
-/// instructions retired in how many seconds.
-#[derive(Debug, Clone)]
-pub struct BenchRecord {
-    /// Benchmark app name.
-    pub name: String,
-    /// Build configuration (`"plain"` / `"elide"`).
-    pub build: &'static str,
-    /// Guest instructions retired over the timed region.
-    pub instructions: u64,
-    /// Wall-clock seconds of the timed region.
-    pub seconds: f64,
+/// The `(app, build)` rows of `BENCH_exec_throughput.json` that
+/// `exec_gate` compares against: interp/plain for every app, the XTEA
+/// elide/plain ratio and the two intrinsic-off builds.
+pub const EXEC_GATED: [(&str, &str); 15] = [
+    ("AES", "interp"),
+    ("AES", "plain"),
+    ("DES", "interp"),
+    ("DES", "plain"),
+    ("Sha1", "interp"),
+    ("Sha1", "plain"),
+    ("XTEA", "interp"),
+    ("XTEA", "plain"),
+    ("JSON", "interp"),
+    ("JSON", "plain"),
+    ("Merkle", "interp"),
+    ("Merkle", "plain"),
+    ("XTEA", "elide"),
+    ("JSON", "soft"),
+    ("Merkle", "soft"),
+];
+
+/// The positive value of environment variable `name`, or `default` when it
+/// is unset, unparsable or not positive.
+pub fn env_or<T: std::str::FromStr + PartialOrd + Default>(name: &str, default: T) -> T {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|v| *v > T::default())
+        .unwrap_or(default)
 }
 
-impl BenchRecord {
-    /// Millions of guest instructions per second.
-    pub fn mips(&self) -> f64 {
-        self.instructions as f64 / self.seconds / 1e6
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Renders bench records as a machine-readable JSON document (hand-rolled:
-/// the workspace deliberately has no third-party dependencies).
-pub fn bench_records_json(bench: &str, records: &[BenchRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str("  \"unit\": \"instructions_per_second\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"build\": \"{}\", \"instructions\": {}, \"seconds\": {:.6}, \"mips\": {:.3}}}{}\n",
-            json_escape(&r.name),
-            json_escape(r.build),
-            r.instructions,
-            r.seconds,
-            r.mips(),
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// The workspace root, resolved at compile time. Bench binaries run with
-/// the package directory (`crates/bench`) as their working directory, which
-/// is gitignored; persisted `BENCH_*.json` files belong at the repo root so
-/// the perf trajectory stays tracked across PRs.
-pub fn workspace_root() -> &'static std::path::Path {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels below the workspace root")
-}
-
-/// Writes `BENCH_<bench>.json` at the workspace root and returns its path,
-/// for git tracking and CI artifact upload.
-///
-/// # Errors
-///
-/// Propagates the underlying file-write error.
-pub fn write_bench_json(
-    bench: &str,
-    records: &[BenchRecord],
-) -> std::io::Result<std::path::PathBuf> {
-    let path = workspace_root().join(format!("BENCH_{bench}.json"));
-    std::fs::write(&path, bench_records_json(bench, records))?;
-    Ok(path)
-}
-
-/// One measured crypto kernel: `bytes` processed per iteration, `iters`
-/// iterations over `seconds` of wall clock.
-#[derive(Debug, Clone)]
-pub struct KernelRecord {
-    /// Kernel name (e.g. `"aes_gcm_seal"`).
-    pub name: String,
-    /// Bytes processed per iteration (0 for pure op-rate kernels).
-    pub bytes: u64,
-    /// Iterations in the timed region.
-    pub iters: u64,
-    /// Wall-clock seconds of the timed region.
-    pub seconds: f64,
-}
-
-impl KernelRecord {
-    /// Megabytes per second (0 when the kernel is op-rate only).
-    pub fn mb_per_s(&self) -> f64 {
-        (self.bytes * self.iters) as f64 / self.seconds / 1e6
-    }
-
-    /// Iterations per second.
-    pub fn ops_per_s(&self) -> f64 {
-        self.iters as f64 / self.seconds
-    }
-}
-
-/// Renders kernel throughput records as JSON.
-pub fn kernel_records_json(bench: &str, records: &[KernelRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str("  \"unit\": \"mb_per_s\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"bytes\": {}, \"iters\": {}, \"seconds\": {:.6}, \
-             \"mb_per_s\": {:.3}, \"ops_per_s\": {:.3}}}{}\n",
-            json_escape(&r.name),
-            r.bytes,
-            r.iters,
-            r.seconds,
-            r.mb_per_s(),
-            r.ops_per_s(),
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes `BENCH_<bench>.json` (kernel schema) at the workspace root.
-///
-/// # Errors
-///
-/// Propagates the underlying file-write error.
-pub fn write_kernel_json(
-    bench: &str,
-    records: &[KernelRecord],
-) -> std::io::Result<std::path::PathBuf> {
-    let path = workspace_root().join(format!("BENCH_{bench}.json"));
-    std::fs::write(&path, kernel_records_json(bench, records))?;
-    Ok(path)
-}
-
-/// One measured launch configuration: wall-clock latency of the full
-/// ECREATE→EADD/EEXTEND→EINIT(→provision→restore) cycle.
-#[derive(Debug, Clone)]
-pub struct LatencyRecord {
-    /// Benchmark app name.
-    pub name: String,
-    /// Build configuration (`"plain"` / `"elide"`).
-    pub build: &'static str,
-    /// Number of timed launches.
-    pub runs: usize,
-    /// Per-run latencies in seconds.
-    pub samples: Vec<f64>,
-}
-
-impl LatencyRecord {
-    /// Mean/stddev of the samples.
-    pub fn stats(&self) -> Stats {
-        stats(&self.samples)
-    }
-
-    /// Fastest sample, in milliseconds.
-    pub fn min_ms(&self) -> f64 {
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min) * 1e3
-    }
-
-    /// Slowest sample, in milliseconds.
-    pub fn max_ms(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max) * 1e3
-    }
-}
-
-/// Renders launch-latency records as JSON.
-pub fn latency_records_json(bench: &str, records: &[LatencyRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str("  \"unit\": \"ms\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let s = r.stats();
-        out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"build\": \"{}\", \"runs\": {}, \"mean_ms\": {:.3}, \
-             \"std_ms\": {:.3}, \"min_ms\": {:.3}, \"max_ms\": {:.3}}}{}\n",
-            json_escape(&r.name),
-            json_escape(r.build),
-            r.runs,
-            s.mean_ms,
-            s.std_ms,
-            r.min_ms(),
-            r.max_ms(),
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes `BENCH_<bench>.json` (latency schema) at the workspace root.
-///
-/// # Errors
-///
-/// Propagates the underlying file-write error.
-pub fn write_latency_json(
-    bench: &str,
-    records: &[LatencyRecord],
-) -> std::io::Result<std::path::PathBuf> {
-    let path = workspace_root().join(format!("BENCH_{bench}.json"));
-    std::fs::write(&path, latency_records_json(bench, records))?;
-    Ok(path)
-}
-
-/// One measured EPC-pressure configuration: enclave relaunch rates and
-/// execution throughput at a given oversubscription factor (resident page
-/// cap = total REG pages / factor).
-#[derive(Debug, Clone)]
-pub struct PressureRecord {
-    /// Benchmark app name.
-    pub app: String,
-    /// Build configuration (`"plain"` / `"elide"`).
-    pub build: &'static str,
-    /// EPC oversubscription factor (1 = whole working set resident).
-    pub factor: usize,
-    /// Resident REG-page cap derived from the factor.
-    pub page_cap: usize,
-    /// Total REG pages the enclave holds when unconstrained.
-    pub total_pages: usize,
-    /// Warm relaunches per second (sealed fast-path restore for the elide
-    /// build; pre-parsed [`elide_enclave::loader::ImagePlan`] reload for
-    /// plain).
-    pub warm_per_s: f64,
-    /// Cold launches per second (full attested handshake for the elide
-    /// build; ELF re-parse + load for plain).
-    pub cold_per_s: f64,
-    /// Execution throughput under the page cap, millions of guest
-    /// instructions per second (best-of-reps).
-    pub mips: f64,
-    /// Page evictions (EWB) during the throughput region.
-    pub evictions: u64,
-    /// Page reloads (ELDU) during the throughput region.
-    pub reloads: u64,
-}
-
-impl PressureRecord {
-    /// Warm-over-cold relaunch speedup.
-    pub fn speedup(&self) -> f64 {
-        if self.cold_per_s > 0.0 {
-            self.warm_per_s / self.cold_per_s
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Renders EPC-pressure records as JSON.
-pub fn pressure_records_json(bench: &str, records: &[PressureRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str("  \"unit\": \"relaunches_per_second\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"build\": \"{}\", \"factor\": {}, \"page_cap\": {}, \
-             \"total_pages\": {}, \"warm_per_s\": {:.1}, \"cold_per_s\": {:.1}, \
-             \"speedup\": {:.2}, \"mips\": {:.3}, \"evictions\": {}, \"reloads\": {}}}{}\n",
-            json_escape(&r.app),
-            json_escape(r.build),
-            r.factor,
-            r.page_cap,
-            r.total_pages,
-            r.warm_per_s,
-            r.cold_per_s,
-            r.speedup(),
-            r.mips,
-            r.evictions,
-            r.reloads,
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes `BENCH_<bench>.json` (pressure schema) at the workspace root.
-///
-/// # Errors
-///
-/// Propagates the underlying file-write error.
-pub fn write_pressure_json(
-    bench: &str,
-    records: &[PressureRecord],
-) -> std::io::Result<std::path::PathBuf> {
-    let path = workspace_root().join(format!("BENCH_{bench}.json"));
-    std::fs::write(&path, pressure_records_json(bench, records))?;
-    Ok(path)
-}
-
-/// The oversubscription factors the EPC-pressure bench sweeps.
-pub const PRESSURE_FACTORS: [usize; 3] = [1, 4, 16];
-
-/// Times the throughput region (`reps` workload repetitions, best-of) on a
-/// runtime whose budget is already armed, returning (mips, evictions,
-/// reloads) accumulated over the whole region.
-fn pressure_mips(
+/// Runs `name`'s workload once untimed, then `reps` timed times; returns
+/// the fastest rep's seconds and the guest instructions one rep retires
+/// (the same every rep, by construction).
+pub fn best_of(
     name: &str,
-    rt: &mut elide_enclave::runtime::EnclaveRuntime,
-    indices: &std::collections::HashMap<String, u64>,
+    rt: &mut EnclaveRuntime,
+    indices: &HashMap<String, u64>,
     reps: usize,
-) -> (f64, u64, u64) {
-    run_workload(name, rt, indices); // warmup (first-touch reloads)
+) -> (f64, u64) {
+    run_workload(name, rt, indices); // warmup (and first-touch reloads)
     let mut best = f64::INFINITY;
     let mut instructions = 0;
     for _ in 0..reps {
         let base = rt.retired_total();
         let t0 = Instant::now();
         run_workload(name, rt, indices);
-        let seconds = t0.elapsed().as_secs_f64();
+        best = best.min(t0.elapsed().as_secs_f64());
         instructions = rt.retired_total() - base;
-        if seconds < best {
-            best = seconds;
+    }
+    (best, instructions)
+}
+
+/// One value of a [`Row`].
+#[derive(Debug, Clone, PartialEq)]
+enum Value {
+    /// Text.
+    Str(String),
+    /// A whole number.
+    Int(u64),
+    /// A decimal and the number of places it is written with.
+    Num(f64, usize),
+}
+
+impl Value {
+    /// The value as a number (`None` for text).
+    fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Value::Str(_) => None,
+            Value::Int(n) => Some(n as f64),
+            Value::Num(x, _) => Some(x),
         }
     }
-    let (ev, rl) =
-        rt.epc_budget().map(|b| (b.stats().evictions, b.stats().reloads)).unwrap_or((0, 0));
-    (instructions as f64 / best / 1e6, ev, rl)
+}
+
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::Str(s) => f.write_str(s),
+            Value::Int(n) => write!(f, "{n}"),
+            Value::Num(x, places) => write!(f, "{x:.places$}"),
+        }
+    }
+}
+
+/// One bench result, or a file's header: keys in the order they are
+/// written. Derived columns are computed once, when the row is built.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Row(Vec<(String, Value)>);
+
+impl Row {
+    /// An empty row.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends a text column.
+    pub fn str(mut self, key: &str, value: impl Into<String>) -> Self {
+        self.0.push((key.into(), Value::Str(value.into())));
+        self
+    }
+
+    /// Appends a whole-number column.
+    pub fn int(mut self, key: &str, value: u64) -> Self {
+        self.0.push((key.into(), Value::Int(value)));
+        self
+    }
+
+    /// Appends a decimal column written with `places` decimal places.
+    pub fn num(mut self, key: &str, value: f64, places: usize) -> Self {
+        self.0.push((key.into(), Value::Num(value, places)));
+        self
+    }
+
+    /// The value under `key`.
+    fn get(&self, key: &str) -> Option<&Value> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The text under `key`.
+    pub fn text(&self, key: &str) -> Option<&str> {
+        match self.get(key)? {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The number under `key`.
+    pub fn number(&self, key: &str) -> Option<f64> {
+        self.get(key)?.as_f64()
+    }
+}
+
+/// Prints `row` as one table line, under a line of its keys when
+/// `heading`.
+pub fn print_row(row: &Row, heading: bool) {
+    let line = |cell: &dyn Fn(&str, &Value) -> String| {
+        row.0
+            .iter()
+            .map(|(k, v)| format!("{:>w$}", cell(k, v), w = k.len().max(9)))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    if heading {
+        println!("{}", line(&|k, _| k.to_string()));
+    }
+    println!("{}", line(&|_, v| v.to_string()));
+}
+
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+fn json_object(row: &Row) -> String {
+    let members: Vec<String> = row
+        .0
+        .iter()
+        .map(|(k, v)| match v {
+            Value::Str(s) => format!("\"{}\": \"{}\"", json_escape(k), json_escape(s)),
+            v => format!("\"{}\": {v}", json_escape(k)),
+        })
+        .collect();
+    format!("{{{}}}", members.join(", "))
+}
+
+/// Renders a bench file: name, unit, header object, then one result object
+/// per line (hand-rolled: the workspace has no third-party dependencies).
+fn render_rows(bench: &str, unit: &str, header: &Row, rows: &[Row]) -> String {
+    let results: Vec<String> = rows.iter().map(|r| format!("    {}", json_object(r))).collect();
+    format!(
+        "{{\n  \"bench\": \"{}\",\n  \"unit\": \"{}\",\n  \"header\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        json_escape(bench),
+        json_escape(unit),
+        json_object(header),
+        results.join(",\n")
+    )
+}
+
+/// Where a result came from: commit, compiler, host, profile and UTC date.
+/// [`write_rows`] puts these first in every header.
+fn provenance() -> Row {
+    let run = |prog: &str, args: &[&str]| {
+        std::process::Command::new(prog)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+    };
+    let root = workspace_root().to_string_lossy().into_owned();
+    let cpu = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|info| {
+        let line = info.lines().find(|l| l.starts_with("model name"))?;
+        Some(line.split_once(':')?.1.trim().to_string())
+    });
+    Row::new()
+        .str("commit", run("git", &["-C", &root, "rev-parse", "HEAD"]))
+        .str("rustc", env!("ELIDE_BENCH_RUSTC"))
+        .str("cpu", cpu.unwrap_or_else(|| "unknown".into()))
+        .int("nproc", std::thread::available_parallelism().map_or(1, |n| n.get() as u64))
+        .str("profile", if cfg!(debug_assertions) { "debug" } else { "release" })
+        .str("date", run("date", &["-u", "+%Y-%m-%dT%H:%M:%SZ"]))
+}
+
+/// The workspace root, resolved at compile time. Bench binaries run with
+/// the package directory (`crates/bench`) as their working directory, which
+/// is gitignored; persisted `BENCH_*.json` files belong at the repo root so
+/// the perf trajectory stays tracked across PRs.
+pub fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
+}
+
+/// Writes `BENCH_<bench>.json` at the workspace root and returns its path.
+/// The header is [`provenance`] followed by `params`, the bench's size
+/// parameters as they ran.
+///
+/// # Errors
+///
+/// Propagates the underlying file-write error.
+pub fn write_rows(bench: &str, unit: &str, params: Row, rows: &[Row]) -> std::io::Result<PathBuf> {
+    let mut header = provenance();
+    header.0.extend(params.0);
+    let path = workspace_root().join(format!("BENCH_{bench}.json"));
+    std::fs::write(&path, render_rows(bench, unit, &header, rows))?;
+    Ok(path)
+}
+
+/// Reads a file [`write_rows`] wrote: its header and its result rows.
+///
+/// # Errors
+///
+/// The read error, or `InvalidData` when the file has no header or a line
+/// is not a flat object of strings and numbers.
+pub fn read_rows(path: &Path) -> std::io::Result<(Row, Vec<Row>)> {
+    let text = std::fs::read_to_string(path)?;
+    parse_rows(&text).ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("{}: not a bench file with a header", path.display()),
+        )
+    })
+}
+
+fn parse_rows(text: &str) -> Option<(Row, Vec<Row>)> {
+    let mut header = None;
+    let mut rows = Vec::new();
+    for line in text.lines().map(|l| l.trim().trim_end_matches(',')) {
+        if let Some(object) = line.strip_prefix("\"header\": ") {
+            header = Some(parse_object(object)?);
+        } else if line.starts_with('{') && line.ends_with('}') {
+            rows.push(parse_object(line)?);
+        }
+    }
+    Some((header?, rows))
+}
+
+/// Parses one flat `{"key": value, ...}` object of strings and numbers.
+fn parse_object(s: &str) -> Option<Row> {
+    let mut rest = s.strip_prefix('{')?.trim_start();
+    let mut row = Row::new();
+    while let Some(r) = rest.strip_prefix('"') {
+        let (key, r) = parse_string(r)?;
+        let r = r.trim_start().strip_prefix(':')?.trim_start();
+        let (value, r) = match r.strip_prefix('"') {
+            Some(r) => parse_string(r).map(|(s, r)| (Value::Str(s), r))?,
+            None => {
+                let end = r.find([',', '}'])?;
+                let t = r[..end].trim();
+                let value = match t.split_once('.') {
+                    None => Value::Int(t.parse().ok()?),
+                    Some((_, frac)) => Value::Num(t.parse().ok()?, frac.len()),
+                };
+                (value, &r[end..])
+            }
+        };
+        row.0.push((key, value));
+        rest = r.trim_start();
+        rest = rest.strip_prefix(',').unwrap_or(rest).trim_start();
+    }
+    (rest == "}").then_some(row)
+}
+
+/// Parses a string body up to its closing quote; returns it and the rest.
+fn parse_string(s: &str) -> Option<(String, &str)> {
+    let mut out = String::new();
+    let mut chars = s.char_indices();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => return Some((out, &s[i + 1..])),
+            '\\' => out.push(match chars.next()?.1 {
+                'n' => '\n',
+                't' => '\t',
+                'r' => '\r',
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).map(|(_, c)| c).collect();
+                    char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?
+                }
+                c => c,
+            }),
+            c => out.push(c),
+        }
+    }
+    None
+}
+
+/// The oversubscription factors the EPC-pressure bench sweeps.
+pub const PRESSURE_FACTORS: [usize; 3] = [1, 4, 16];
+
+/// The rows of one build under EPC pressure. Per factor, `reps` warm
+/// starts under the derived page cap (`warm(page_cap, i)` returns the armed
+/// runtime), then the throughput region (best-of-`reps`) on the last one,
+/// with the evictions and reloads accumulated over the whole region.
+fn pressure_rows(
+    app: &App,
+    build: &str,
+    total_pages: usize,
+    cold_per_s: f64,
+    indices: &HashMap<String, u64>,
+    reps: usize,
+    mut warm: impl FnMut(usize, usize) -> EnclaveRuntime,
+) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for factor in PRESSURE_FACTORS {
+        let page_cap = (total_pages / factor).max(1);
+        let t0 = Instant::now();
+        let mut rt = (0..reps).map(|i| warm(page_cap, i)).last().expect("reps > 0");
+        let warm_per_s = reps as f64 / t0.elapsed().as_secs_f64();
+        let (seconds, instructions) = best_of(app.name, &mut rt, indices, reps);
+        let stats = rt.epc_budget().map(|b| b.stats());
+        rows.push(
+            Row::new()
+                .str("app", app.name)
+                .str("build", build)
+                .int("factor", factor as u64)
+                .int("page_cap", page_cap as u64)
+                .int("total_pages", total_pages as u64)
+                .num("warm_per_s", warm_per_s, 1)
+                .num("cold_per_s", cold_per_s, 1)
+                .num("speedup", if cold_per_s > 0.0 { warm_per_s / cold_per_s } else { 0.0 }, 2)
+                .num("mips", instructions as f64 / seconds / 1e6, 3)
+                .int("evictions", stats.map_or(0, |s| s.evictions))
+                .int("reloads", stats.map_or(0, |s| s.reloads)),
+        );
+    }
+    rows
 }
 
 /// Measures the **elide** build of `app` under EPC pressure: cold
@@ -565,7 +596,7 @@ fn pressure_mips(
 /// # Panics
 ///
 /// Panics if any pipeline stage fails (benchmark harness context).
-pub fn epc_pressure_elide(app: &App, reps: usize) -> Vec<PressureRecord> {
+pub fn epc_pressure_elide(app: &App, reps: usize) -> Vec<Row> {
     use elide_core::api::{protect, Mode, Platform};
     use elide_core::protocol::{InProcessTransport, OfflineTransport};
     use elide_core::restore::new_sealed_store;
@@ -608,42 +639,18 @@ pub fn epc_pressure_elide(app: &App, reps: usize) -> Vec<PressureRecord> {
     }
     let cold_per_s = reps as f64 / t0.elapsed().as_secs_f64();
 
-    let mut records = Vec::new();
-    for factor in PRESSURE_FACTORS {
-        let page_cap = (total_pages / factor).max(1);
-
-        // Warm rate under the cap: load from the plan, arm the budget,
-        // sealed fast-path restore — zero server contact.
-        let t0 = Instant::now();
-        let mut last = None;
-        for i in 0..reps {
-            let offline = Arc::new(Mutex::new(OfflineTransport));
-            let mut l = package
-                .launch_planned(&plan, &platform, offline, Arc::clone(&sealed), 0x3A91 + i as u64)
-                .expect("warm start");
-            let mut brng = SeededRandom::new(0xB0D6 + i as u64);
-            l.runtime.set_epc_budget(EpcBudget::new(page_cap, &mut brng)).expect("budget");
-            l.restore(restore_idx).expect("warm restore");
-            last = Some(l);
-        }
-        let warm_per_s = reps as f64 / t0.elapsed().as_secs_f64();
-
-        let mut l = last.expect("reps > 0");
-        let (mips, evictions, reloads) = pressure_mips(app.name, &mut l.runtime, &indices, reps);
-        records.push(PressureRecord {
-            app: app.name.to_string(),
-            build: "elide",
-            factor,
-            page_cap,
-            total_pages,
-            warm_per_s,
-            cold_per_s,
-            mips,
-            evictions,
-            reloads,
-        });
-    }
-    records
+    // Warm rate under each cap: load from the plan, arm the budget, sealed
+    // fast-path restore — zero server contact.
+    pressure_rows(app, "elide", total_pages, cold_per_s, &indices, reps, |page_cap, i| {
+        let offline = Arc::new(Mutex::new(OfflineTransport));
+        let mut l = package
+            .launch_planned(&plan, &platform, offline, Arc::clone(&sealed), 0x3A91 + i as u64)
+            .expect("warm start");
+        let mut brng = SeededRandom::new(0xB0D6 + i as u64);
+        l.runtime.set_epc_budget(EpcBudget::new(page_cap, &mut brng)).expect("budget");
+        l.restore(restore_idx).expect("warm restore");
+        l.runtime
+    })
 }
 
 /// Measures the **plain** build of `app` under EPC pressure. "Cold" pays
@@ -653,10 +660,9 @@ pub fn epc_pressure_elide(app: &App, reps: usize) -> Vec<PressureRecord> {
 /// # Panics
 ///
 /// Panics if any pipeline stage fails.
-pub fn epc_pressure_plain(app: &App, reps: usize) -> Vec<PressureRecord> {
+pub fn epc_pressure_plain(app: &App, reps: usize) -> Vec<Row> {
     use elide_crypto::rsa::RsaKeyPair;
     use elide_enclave::loader::{sign_enclave, ImagePlan};
-    use elide_enclave::runtime::EnclaveRuntime;
     use sgx_sim::budget::EpcBudget;
 
     let image = app.build_plain_image().expect("build");
@@ -678,38 +684,13 @@ pub fn epc_pressure_plain(app: &App, reps: usize) -> Vec<PressureRecord> {
     }
     let cold_per_s = reps as f64 / t0.elapsed().as_secs_f64();
 
-    let mut records = Vec::new();
-    for factor in PRESSURE_FACTORS {
-        let page_cap = (total_pages / factor).max(1);
-
-        let t0 = Instant::now();
-        let mut last = None;
-        for i in 0..reps {
-            let loaded = plan.load(&cpu, &sigstruct).expect("load");
-            let mut rt =
-                EnclaveRuntime::with_rng(loaded, Box::new(SeededRandom::new(0x11 + i as u64)));
-            let mut brng = SeededRandom::new(0xB0D6 + i as u64);
-            rt.set_epc_budget(EpcBudget::new(page_cap, &mut brng)).expect("budget");
-            last = Some(rt);
-        }
-        let warm_per_s = reps as f64 / t0.elapsed().as_secs_f64();
-
-        let mut rt = last.expect("reps > 0");
-        let (mips, evictions, reloads) = pressure_mips(app.name, &mut rt, &indices, reps);
-        records.push(PressureRecord {
-            app: app.name.to_string(),
-            build: "plain",
-            factor,
-            page_cap,
-            total_pages,
-            warm_per_s,
-            cold_per_s,
-            mips,
-            evictions,
-            reloads,
-        });
-    }
-    records
+    pressure_rows(app, "plain", total_pages, cold_per_s, &indices, reps, |page_cap, i| {
+        let loaded = plan.load(&cpu, &sigstruct).expect("load");
+        let mut rt = EnclaveRuntime::with_rng(loaded, Box::new(SeededRandom::new(0x11 + i as u64)));
+        let mut brng = SeededRandom::new(0xB0D6 + i as u64);
+        rt.set_epc_budget(EpcBudget::new(page_cap, &mut brng)).expect("budget");
+        rt
+    })
 }
 
 /// A percentile of a **sorted** sample (nearest-rank), in the sample's
@@ -722,156 +703,6 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// One measured configuration of the open-loop provisioning load bench:
-/// `requests` arrivals at `rate_per_s`, each timed from its *scheduled*
-/// arrival to completion (so queueing delay counts, as in any honest
-/// open-loop load test).
-#[derive(Debug, Clone)]
-pub struct LoadRecord {
-    /// Client mode: `"full"` (handshake + fetch) or `"resumed"` (one
-    /// round-trip ticket resume), or `"hold"` for the concurrency phase.
-    pub mode: &'static str,
-    /// Target arrival rate, requests per second (0 for the hold phase).
-    pub rate_per_s: f64,
-    /// Arrivals issued.
-    pub requests: usize,
-    /// Arrivals that failed (any error; 0 in a healthy run).
-    pub errors: usize,
-    /// Peak concurrently-open client connections during the run.
-    pub concurrent: usize,
-    /// Per-request scheduled-arrival→completion latencies in seconds.
-    pub samples: Vec<f64>,
-}
-
-impl LoadRecord {
-    /// Sorted copy of the samples.
-    fn sorted(&self) -> Vec<f64> {
-        let mut s = self.samples.clone();
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        s
-    }
-
-    /// (p50, p99, p99.9) of the latency samples, in milliseconds.
-    pub fn percentiles_ms(&self) -> (f64, f64, f64) {
-        let s = self.sorted();
-        (percentile(&s, 0.50) * 1e3, percentile(&s, 0.99) * 1e3, percentile(&s, 0.999) * 1e3)
-    }
-
-    /// Slowest request, in milliseconds.
-    pub fn max_ms(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max) * 1e3
-    }
-}
-
-/// Renders load records as JSON (latency distribution vs arrival rate).
-pub fn load_records_json(bench: &str, records: &[LoadRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str("  \"unit\": \"ms\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let (p50, p99, p999) = r.percentiles_ms();
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"rate_per_s\": {:.1}, \"requests\": {}, \"errors\": {}, \
-             \"concurrent\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \
-             \"max_ms\": {:.3}}}{}\n",
-            json_escape(r.mode),
-            r.rate_per_s,
-            r.requests,
-            r.errors,
-            r.concurrent,
-            p50,
-            p99,
-            p999,
-            r.max_ms(),
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes `BENCH_<bench>.json` (load schema) at the workspace root.
-///
-/// # Errors
-///
-/// Propagates the underlying file-write error.
-pub fn write_load_json(bench: &str, records: &[LoadRecord]) -> std::io::Result<std::path::PathBuf> {
-    let path = workspace_root().join(format!("BENCH_{bench}.json"));
-    std::fs::write(&path, load_records_json(bench, records))?;
-    Ok(path)
-}
-
-/// One measured configuration of the delegated-provisioning bench: `peers`
-/// enclaves provisioned per repetition, either each against the origin
-/// server ("central") or through one local delegate ("delegated" — the
-/// per-rep cost includes standing the delegate up, so the single origin
-/// handshake it amortises is inside the timed region).
-#[derive(Debug, Clone)]
-pub struct DelegationRecord {
-    /// Provisioning mode: `"central"` or `"delegated"`.
-    pub mode: &'static str,
-    /// Peer enclaves provisioned per repetition.
-    pub peers: usize,
-    /// Repetitions timed.
-    pub reps: usize,
-    /// Origin handshakes consumed per repetition (the headline: `peers`
-    /// for central, exactly 1 for delegated).
-    pub origin_handshakes: u64,
-    /// Peer provisions per second over the whole timed region.
-    pub provisions_per_s: f64,
-}
-
-impl DelegationRecord {
-    /// Mean wall-clock milliseconds per peer provision.
-    pub fn ms_per_peer(&self) -> f64 {
-        if self.provisions_per_s > 0.0 {
-            1e3 / self.provisions_per_s
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Renders delegation records as JSON.
-pub fn delegation_records_json(bench: &str, records: &[DelegationRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str("  \"unit\": \"provisions_per_second\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"peers\": {}, \"reps\": {}, \"origin_handshakes\": {}, \
-             \"provisions_per_s\": {:.1}, \"ms_per_peer\": {:.3}}}{}\n",
-            json_escape(r.mode),
-            r.peers,
-            r.reps,
-            r.origin_handshakes,
-            r.provisions_per_s,
-            r.ms_per_peer(),
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes `BENCH_<bench>.json` (delegation schema) at the workspace root.
-///
-/// # Errors
-///
-/// Propagates the underlying file-write error.
-pub fn write_delegation_json(
-    bench: &str,
-    records: &[DelegationRecord],
-) -> std::io::Result<std::path::PathBuf> {
-    let path = workspace_root().join(format!("BENCH_{bench}.json"));
-    std::fs::write(&path, delegation_records_json(bench, records))?;
-    Ok(path)
-}
-
 /// Measures host-level provisioning fan-out: `peers` enclaves per rep,
 /// central (every peer pays the full origin handshake) vs delegated (one
 /// delegate stands up against the origin, every peer restores from it over
@@ -880,7 +711,7 @@ pub fn write_delegation_json(
 /// # Panics
 ///
 /// Panics if any pipeline stage fails (benchmark harness context).
-pub fn delegation_provisioning(peers: usize, reps: usize) -> Vec<DelegationRecord> {
+pub fn delegation_provisioning(peers: usize, reps: usize) -> Vec<Row> {
     use elide_core::api::{protect, Mode, Platform};
     use elide_core::client::ProvisionClient;
     use elide_core::delegation::{DelegateServer, EcallReportVerifier};
@@ -990,22 +821,18 @@ pub fn delegation_provisioning(peers: usize, reps: usize) -> Vec<DelegationRecor
     let delegated_handshakes = (server.handshakes() - before) / reps as u64;
 
     let total = (peers * reps) as f64;
-    vec![
-        DelegationRecord {
-            mode: "central",
-            peers,
-            reps,
-            origin_handshakes: central_handshakes,
-            provisions_per_s: total / central_s,
-        },
-        DelegationRecord {
-            mode: "delegated",
-            peers,
-            reps,
-            origin_handshakes: delegated_handshakes,
-            provisions_per_s: total / delegated_s,
-        },
-    ]
+    [("central", central_handshakes, central_s), ("delegated", delegated_handshakes, delegated_s)]
+        .map(|(mode, handshakes, seconds)| {
+            let per_s = total / seconds;
+            Row::new()
+                .str("mode", mode)
+                .int("peers", peers as u64)
+                .int("reps", reps as u64)
+                .int("origin_handshakes", handshakes)
+                .num("provisions_per_s", per_s, 1)
+                .num("ms_per_peer", if per_s > 0.0 { 1e3 / per_s } else { 0.0 }, 3)
+        })
+        .to_vec()
 }
 
 #[cfg(test)]
@@ -1020,45 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_is_well_formed() {
-        let records = vec![
-            BenchRecord { name: "aes".into(), build: "plain", instructions: 1000, seconds: 0.5 },
-            BenchRecord { name: "a\"b".into(), build: "elide", instructions: 2000, seconds: 1.0 },
-        ];
-        let json = bench_records_json("exec_throughput", &records);
-        assert!(json.contains("\"bench\": \"exec_throughput\""));
-        assert!(json.contains("\"mips\": 0.002"));
-        assert!(json.contains("a\\\"b"), "quotes must be escaped: {json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn kernel_json_is_well_formed() {
-        let records = vec![
-            KernelRecord { name: "aes_gcm_seal".into(), bytes: 1 << 20, iters: 8, seconds: 0.5 },
-            KernelRecord { name: "rsa_verify".into(), bytes: 0, iters: 100, seconds: 1.0 },
-        ];
-        let json = kernel_records_json("crypto_kernels", &records);
-        assert!(json.contains("\"kernel\": \"aes_gcm_seal\""));
-        assert!(json.contains("\"ops_per_s\": 100.000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn latency_json_is_well_formed() {
-        let records = vec![LatencyRecord {
-            name: "aes".into(),
-            build: "elide",
-            runs: 2,
-            samples: vec![0.010, 0.012],
-        }];
-        let json = latency_records_json("launch_latency", &records);
-        assert!(json.contains("\"mean_ms\": 11.000"));
-        assert!(json.contains("\"min_ms\": 10.000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
     fn percentile_nearest_rank() {
         let s: Vec<f64> = (1..=100).map(|i| i as f64).collect();
         assert_eq!(percentile(&s, 0.50), 50.0);
@@ -1069,45 +857,74 @@ mod tests {
     }
 
     #[test]
-    fn load_json_is_well_formed() {
-        let records = vec![LoadRecord {
-            mode: "full",
-            rate_per_s: 50.0,
-            requests: 3,
-            errors: 0,
-            concurrent: 3,
-            samples: vec![0.001, 0.002, 0.010],
-        }];
-        let json = load_records_json("provision_load", &records);
-        assert!(json.contains("\"rate_per_s\": 50.0"));
-        assert!(json.contains("\"p50_ms\": 2.000"));
-        assert!(json.contains("\"p999_ms\": 10.000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    fn rows_round_trip_through_the_writer_and_reader() {
+        // (row, how one of its columns must be written)
+        let cases = [
+            (
+                Row::new()
+                    .str("app", "a\"b\\c\u{1}\n")
+                    .str("build", "elide")
+                    .int("instructions", 2000),
+                r#""app": "a\"b\\c\u0001\u000a""#,
+            ),
+            (
+                Row::new().str("app", "AES").int("instructions", 1000).num("mips", 0.002, 3),
+                r#""mips": 0.002"#,
+            ),
+            (Row::new().str("mode", "full").num("p50_ms", 2.0, 3), r#""p50_ms": 2.000"#),
+            (Row::new().num("rate_per_s", 50.0, 1).int("errors", 0), r#""rate_per_s": 50.0"#),
+            (Row::new().num("seconds", 0.0004, 6).num("speedup", 11.333, 2), r#""speedup": 11.33"#),
+            (Row::new(), "{}"),
+        ];
+        let mut header = provenance();
+        header.0.extend(Row::new().int("reps", 5).str("rates", "25,50").0);
+        let rows: Vec<Row> = cases.iter().map(|(r, _)| r.clone()).collect();
+        let text = render_rows("schema", "ms", &header, &rows);
+        for (_, written) in &cases {
+            assert!(text.contains(written), "missing {written} in {text}");
+        }
+
+        let (read_header, read) = parse_rows(&text).expect("reads back");
+        for key in ["commit", "rustc", "cpu", "nproc", "profile", "date", "reps", "rates"] {
+            assert!(read_header.get(key).is_some(), "header lacks {key}");
+        }
+        assert_eq!(read_header, header);
+        assert_eq!(read.len(), rows.len());
+        for (got, want) in read.iter().zip(&rows) {
+            assert_eq!(render_rows("", "", got, &[]), render_rows("", "", want, &[]));
+        }
+        assert_eq!(read[0].text("app"), Some("a\"b\\c\u{1}\n"));
+        assert_eq!(read[1].number("mips"), Some(0.002));
+        assert!(parse_rows("{\n  \"results\": []\n}\n").is_none(), "no header, no file");
     }
 
     #[test]
-    fn delegation_json_is_well_formed() {
-        let records = vec![
-            DelegationRecord {
-                mode: "central",
-                peers: 4,
-                reps: 10,
-                origin_handshakes: 4,
-                provisions_per_s: 250.0,
-            },
-            DelegationRecord {
-                mode: "delegated",
-                peers: 4,
-                reps: 10,
-                origin_handshakes: 1,
-                provisions_per_s: 500.0,
-            },
-        ];
-        let json = delegation_records_json("delegation", &records);
-        assert!(json.contains("\"mode\": \"delegated\""));
-        assert!(json.contains("\"origin_handshakes\": 1"));
-        assert!(json.contains("\"ms_per_peer\": 2.000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    fn tracked_bench_files_carry_a_header_and_the_gated_rows() {
+        let mut files = 0;
+        for entry in std::fs::read_dir(workspace_root()).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let (header, rows) = read_rows(&path).unwrap_or_else(|e| panic!("{e}"));
+            for key in ["commit", "rustc", "cpu", "nproc", "profile", "date"] {
+                assert!(header.get(key).is_some(), "{name}: header lacks {key}");
+            }
+            assert!(!rows.is_empty(), "{name}: no rows");
+            files += 1;
+        }
+        assert!(files >= 6, "expected the six tracked bench files, found {files}");
+
+        let (_, rows) = read_rows(&workspace_root().join("BENCH_exec_throughput.json")).unwrap();
+        for (app, build) in EXEC_GATED {
+            assert!(
+                rows.iter().any(|r| r.text("app") == Some(app)
+                    && r.text("build") == Some(build)
+                    && r.number("mips").is_some()),
+                "BENCH_exec_throughput.json lacks the {app}/{build} row exec_gate compares against"
+            );
+        }
     }
 
     #[test]

@@ -514,10 +514,9 @@ impl Transport for DelegatePeerTransport {
             return Err(ElideError::Transport("delegate offline".into()));
         }
         match req as u64 {
-            // PEER_ATTEST replaces HANDSHAKE on the delegate leg;
-            // HANDSHAKE is accepted too (the payload is `[report][pub]`
-            // either way).
-            request::PEER_ATTEST | request::HANDSHAKE => {
+            // The delegate leg opens with PEER_ATTEST only; the restore
+            // ocall rewrites the guest's HANDSHAKE before it gets here.
+            request::PEER_ATTEST => {
                 let (server_pub, session) = self.server.peer_attest(payload)?;
                 self.session = Some(session);
                 Ok(server_pub)

@@ -313,6 +313,39 @@ fn report_targeting_wrong_mrenclave_is_refused() {
 }
 
 #[test]
+fn delegate_answers_only_peer_attest_not_handshake() {
+    let host = host(0xD117_000D);
+    let delegate = host.stand_up_delegate(0xAD);
+    let target = delegate.policy().delegate_mrenclave;
+
+    // A genuine peer payload that PEER_ATTEST would accept, sent under the
+    // origin's HANDSHAKE verb: the delegate knows no such request, and no
+    // session comes of it.
+    let peer = host
+        .package()
+        .launch(&host.platform, host.origin_transport(), new_sealed_store(), 0xCD)
+        .unwrap();
+    let mut rng = SeededRandom::new(0xD117_000E);
+    let kp = DhKeyPair::generate(&mut rng);
+    let public = kp.public_bytes();
+    let mut report_data = [0u8; 64];
+    report_data[..32].copy_from_slice(&Sha256::digest(&public));
+    let mut payload = peer_report(&peer, target, report_data);
+    payload.extend_from_slice(&public);
+
+    let mut t = delegate.connect();
+    match t.request(request::HANDSHAKE as u8, &payload) {
+        Err(ElideError::Server(ServerError::UnknownRequest(3))) => {}
+        other => panic!("HANDSHAKE to a delegate must be UnknownRequest(3), got {other:?}"),
+    }
+    match t.request(request::META as u8, &[]) {
+        Err(ElideError::Server(ServerError::NoSession)) => {}
+        other => panic!("META after a refused HANDSHAKE must be NoSession, got {other:?}"),
+    }
+    assert_eq!(delegate.served(), 0);
+}
+
+#[test]
 fn peer_outside_the_policy_is_refused() {
     let host = host(0xD117_0007);
     let delegate = host.stand_up_delegate(0xA7);
